@@ -19,6 +19,7 @@ from .analysis import (
 )
 from .errors import (
     AmbiguousDecodeError,
+    AmplitudeOverflowError,
     DecodeError,
     DimensionError,
     LengthMismatchError,
@@ -35,10 +36,8 @@ from .gates import (
     TargetSet,
     apply_not,
     not_operator,
-    xnor_bit,
     xnor_pair,
     xnor_targeted,
-    xor_bit,
     xor_pair,
     xor_targeted,
 )
@@ -74,6 +73,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AgreementReport",
     "AmbiguousDecodeError",
+    "AmplitudeOverflowError",
     "BitString",
     "DecodeError",
     "DimensionError",
@@ -117,10 +117,8 @@ __all__ = [
     "universe",
     "universe_stats",
     "write_trace",
-    "xnor_bit",
     "xnor_pair",
     "xnor_targeted",
-    "xor_bit",
     "xor_pair",
     "xor_targeted",
 ]

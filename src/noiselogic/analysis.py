@@ -24,22 +24,12 @@ from .errors import (
 )
 from .hyperspace import BitString, universe
 from .oracle import ProductTerm, SymbolicSuperposition
-from .reference import ReferenceSystem, Trace
+from .reference import ReferenceSystem, Trace, product_signs
 
 #: Brute-force candidate scan cap for product decoding.
 MAX_DECODE_PRODUCT_BITS = 20
 #: Basis-correlation cap for superposition decoding (2^M basis traces).
 MAX_DECODE_SUPERPOSITION_BITS = 12
-
-_U64 = np.uint64
-
-
-def _candidate_signs(masks: np.ndarray, negatives: np.ndarray) -> np.ndarray:
-    """Sign each candidate product state would have against the given
-    per-clock (or per-candidate) negative-high bitmask: the parity of the
-    number of -1 factors selected by the mask."""
-    parity = np.bitwise_count(masks & negatives).astype(np.int64) & 1
-    return 1 - 2 * parity
 
 
 def decode_product(sys: ReferenceSystem, x: Trace) -> BitString:
@@ -67,11 +57,11 @@ def decode_product(sys: ReferenceSystem, x: Trace) -> BitString:
         if candidates.size == 1:
             # single survivor: verify it against all remaining clocks at once
             mask = candidates[0]
-            signs = _candidate_signs(mask, negatives[t:])
+            signs = product_signs(mask, negatives[t:])
             if not np.array_equal(signs, xs[t:]):
                 raise NoMatchError("trace is not a product state of this system")
             break
-        signs = _candidate_signs(candidates, negatives[t])
+        signs = product_signs(candidates, negatives[t])
         candidates = candidates[signs == xs[t]]
         if candidates.size == 0:
             raise NoMatchError("trace is not a product state of this system")
@@ -92,9 +82,10 @@ def _basis_chunks(sys: ReferenceSystem, chunk: int) -> Iterator[tuple[int, np.nd
     state with mask word n restricted to the clock window."""
     for t0 in range(0, sys.t, chunk):
         t1 = min(t0 + chunk, sys.t)
+        negatives = sys.negative_masks[t0:t1]
         block = np.ones((1, t1 - t0), dtype=np.int64)
-        for high in sys.highs:
-            block = np.vstack([block, block * high.samples[t0:t1]])
+        for i in range(sys.m):
+            block = np.vstack([block, block * product_signs(1 << i, negatives)])
         yield t0, block
 
 

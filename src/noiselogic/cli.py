@@ -6,8 +6,8 @@ oracle checked against the numeric output on every run), and compare
 trace files. All outputs are deterministic functions of the arguments;
 plot emission is data-only (CSV/JSON consumable by any plotting tool).
 
-Exit codes: 0 success, 2 usage error, 3 decode/oracle mismatch (including
-``compare`` divergence), 4 I/O or parse failure.
+Exit codes: 0 success, 2 usage error or amplitude overflow, 3 decode/oracle
+mismatch (including ``compare`` divergence), 4 I/O or parse failure.
 """
 
 from __future__ import annotations

@@ -30,6 +30,11 @@ class ScaleExceededError(NoiseLogicError, ValueError):
     """An exhaustive operation was requested beyond its enumeration cap."""
 
 
+class AmplitudeOverflowError(NoiseLogicError, ValueError):
+    """An operation could produce a sample outside the int64 range, where
+    numpy would wrap it silently; it is refused before it runs."""
+
+
 class DecodeError(NoiseLogicError):
     """Base class for trace-decoding failures."""
 

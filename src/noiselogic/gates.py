@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .errors import TargetIndexError
-from .reference import ReferenceSystem, Trace, multiply_traces
+from .reference import ReferenceSystem, Trace, multiply_traces, product_signs
 
 #: A gate target is a nonempty set of noise-bit indices in {1..M}.
 TargetSet = frozenset[int]
@@ -35,33 +35,16 @@ def not_operator(sys: ReferenceSystem, targets: Iterable[int]) -> Trace:
     state in that signal; applying it twice is the identity (each high
     squared is the constant 1).
     """
-    ts = _as_targets(sys, targets)
-    out = sys.low
-    for i in sorted(ts):
-        out = multiply_traces(out, sys.high(i))
-    return out.with_label("not_" + "".join(str(i) for i in sorted(ts)))
+    ts = sorted(_as_targets(sys, targets))
+    mask = sum(1 << (i - 1) for i in ts)
+    return Trace(
+        product_signs(mask, sys.negative_masks), "not_" + "".join(str(i) for i in ts)
+    )
 
 
 def apply_not(sys: ReferenceSystem, targets: Iterable[int], signal: Trace) -> Trace:
     """Invert the targeted bits of every product state carried by ``signal``."""
     return multiply_traces(not_operator(sys, targets), signal)
-
-
-def xor_bit(sys: ReferenceSystem, i: int, a: Trace, b: Trace) -> Trace:
-    """XOR of two i-th noise-bit signals (each constant 1 or the high RTW).
-
-    The squeezed scheme's low reference is 1, so the defining product
-    a * b * low_i collapses to the plain product: equal inputs cancel to
-    the low constant, differing inputs leave the high RTW.
-    """
-    _as_targets(sys, (i,))
-    return multiply_traces(a, b)
-
-
-def xnor_bit(sys: ReferenceSystem, i: int, a: Trace, b: Trace) -> Trace:
-    """XNOR of two i-th noise-bit signals: a * b * high_i."""
-    _as_targets(sys, (i,))
-    return multiply_traces(multiply_traces(a, b), sys.high(i))
 
 
 def xor_pair(a: Trace, b: Trace) -> Trace:
@@ -70,7 +53,9 @@ def xor_pair(a: Trace, b: Trace) -> Trace:
     For pure hyperspace vectors the output is the vector of the bitwise
     XOR of the two strings; a superposition input distributes component
     by component. Multiplication by the all-zeros string (constant 1) is
-    a no-op, which is why no reference system is needed here.
+    a no-op, which is why no reference system is needed here. On single
+    noise-bit signals (each the constant 1 or high_i) it is the bit-level
+    XOR, and ``xnor_targeted(sys, xor_pair(a, b), i, 0)`` the bit-level XNOR.
     """
     return multiply_traces(a, b)
 

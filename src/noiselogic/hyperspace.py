@@ -4,7 +4,7 @@ An M-bit string selects one of 2^M product states: the sample-wise product
 of the high references of its 1-bits (low bits multiply by the constant 1
 and drop out). Superpositions are sample-wise integer sums, and the
 superposition of all 2^M states — the universe — is built in factored
-form with M multiplications per clock instead of a 2^M-term sum.
+form, one comparison per clock instead of a 2^M-term sum.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DimensionError, LengthMismatchError, WidthMismatchError
 from .oracle import ProductTerm, SymbolicSuperposition
-from .reference import ReferenceSystem, Trace
+from .reference import ReferenceSystem, Trace, check_headroom, max_abs, product_signs
 
 
 @dataclass(frozen=True)
@@ -101,10 +101,7 @@ def product_trace(sys: ReferenceSystem, term: ProductTerm) -> Trace:
     """
     if term.width != sys.m:
         raise WidthMismatchError(f"term width {term.width} != system width {sys.m}")
-    acc = np.ones(sys.t, dtype=np.int64)
-    for i in term.indices:
-        acc *= sys.high(i).samples
-    return Trace(acc, term.text())
+    return Trace(product_signs(term.mask, sys.negative_masks), term.text())
 
 
 def synthesize(sys: ReferenceSystem, s: "BitString | str") -> Trace:
@@ -136,6 +133,7 @@ def superpose(traces: list[Trace], *, t: int | None = None) -> Trace:
             raise LengthMismatchError(f"trace lengths differ: {length} != {tr.t}")
     if t is not None and t != length:
         raise LengthMismatchError(f"explicit t={t} != trace length {length}")
+    check_headroom(sum(max_abs(tr) for tr in traces), "superposition")
     acc = np.zeros(length, dtype=np.int64)
     for tr in traces:
         acc += tr.samples
@@ -145,14 +143,13 @@ def superpose(traces: list[Trace], *, t: int | None = None) -> Trace:
 def universe(sys: ReferenceSystem) -> Trace:
     """Superposition of all 2^M hyperspace vectors, in factored form.
 
-    Computed as the product of the M factor traces (1 + high_i), i.e.
-    M multiplications per clock rather than a 2^M-term sum. Every sample
-    is 0 or 2^M.
+    The product of the M factors (1 + high_i) is 2^M at clocks where every
+    high reference is +1 (no negative bit set) and 0 elsewhere, so one
+    comparison per clock replaces a 2^M-term sum.
     """
-    acc = np.ones(sys.t, dtype=np.int64)
-    for high in sys.highs:
-        acc *= 1 + high.samples
-    return Trace(acc, "universe")
+    return Trace(
+        np.where(sys.negative_masks == 0, np.int64(1 << sys.m), np.int64(0)), "universe"
+    )
 
 
 def realize(sys: ReferenceSystem, sup: SymbolicSuperposition) -> Trace:
@@ -164,7 +161,8 @@ def realize(sys: ReferenceSystem, sup: SymbolicSuperposition) -> Trace:
     """
     if sup.width != sys.m:
         raise WidthMismatchError(f"superposition width {sup.width} != system width {sys.m}")
+    check_headroom(sum(abs(c) for c in sup.terms.values()), "superposition")
     acc = np.zeros(sys.t, dtype=np.int64)
-    for term, coeff in sup.product_terms():
-        acc += coeff * product_trace(sys, term).samples
+    for mask, coeff in sup.terms.items():
+        acc += coeff * product_signs(mask, sys.negative_masks)
     return Trace(acc)

@@ -14,16 +14,22 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
-from .errors import DimensionError, LengthMismatchError, TraceParseError
+from .errors import (
+    AmplitudeOverflowError,
+    DimensionError,
+    LengthMismatchError,
+    TraceParseError,
+)
 
 # Universe amplitudes reach 2^M; int64 storage caps the engine at M = 62.
 MAX_NOISE_BITS = 62
+#: Amplitude bound of int64 storage: every |sample| must stay below it.
+INT64_HEADROOM = 1 << 63
 
 _U64 = np.uint64
 _GAMMA = _U64(0x9E3779B97F4A7C15)
@@ -73,6 +79,7 @@ class Trace:
         if isinstance(other, Trace):
             return multiply_traces(self, other)
         if isinstance(other, (int, np.integer)):
+            check_headroom(max_abs(self) * abs(int(other)), "scalar product")
             return Trace(self.samples * np.int64(other))
         return NotImplemented
 
@@ -82,9 +89,11 @@ class Trace:
         if not isinstance(other, Trace):
             return NotImplemented
         _require_same_length(self, other)
+        check_headroom(max_abs(self) + max_abs(other), "sum")
         return Trace(self.samples + other.samples)
 
     def __neg__(self) -> "Trace":
+        check_headroom(max_abs(self), "negation")
         return Trace(-self.samples)
 
     def is_binary(self) -> bool:
@@ -106,6 +115,19 @@ def _require_same_length(a: Trace, b: Trace) -> None:
         raise LengthMismatchError(f"trace lengths differ: {a.t} != {b.t}")
 
 
+def max_abs(trace: Trace) -> int:
+    """Largest |sample| as a Python int (``np.abs`` wraps at -2^63)."""
+    return max(int(trace.samples.max()), -int(trace.samples.min()))
+
+
+def check_headroom(bound: int, what: str) -> None:
+    """Refuse an operation whose |amplitude| can reach 2^63, where int64 wraps."""
+    if bound >= INT64_HEADROOM:
+        raise AmplitudeOverflowError(
+            f"{what} can reach |amplitude| {bound} >= 2^63, past the int64 range"
+        )
+
+
 def low_reference(t: int, *, label: str | None = "low") -> Trace:
     """The squeezed logic-low reference: the constant trace of value 1."""
     if t < 1:
@@ -120,6 +142,7 @@ def multiply_traces(a: Trace, b: Trace) -> Trace:
     RTW is the constant-1 vacuum trace.
     """
     _require_same_length(a, b)
+    check_headroom(max_abs(a) * max_abs(b), "product")
     return Trace(a.samples * b.samples)
 
 
@@ -130,65 +153,70 @@ def _mix64(x: np.ndarray) -> np.ndarray:
     return x ^ (x >> _U64(31))
 
 
-def _rtw_samples(seed: int, index: int, t: int) -> np.ndarray:
-    """Counter-based RTW stream: sample (index, clock) = f(seed, index, clock)."""
+def product_signs(masks, negatives: np.ndarray) -> np.ndarray:
+    """Samples (+1/-1) of product states from per-clock negative-high words.
+
+    A product state's sample is -1 exactly when an odd number of its high
+    references are -1, so it is the parity of ``mask & negatives``. Either
+    side may be a scalar or an array; they broadcast.
+    """
+    parity = np.bitwise_count(np.asarray(masks, dtype=np.uint64) & negatives) & 1
+    return 1 - 2 * parity.astype(np.int64)
+
+
+def _negative_masks(seed: int, m: int, t: int) -> np.ndarray:
+    """Counter-based RTW streams packed per clock.
+
+    Sample (index, clock) = f(seed, index, clock) is +1 iff the top bit of
+    its splitmix64 word is 1; bit (index-1) of word clock-1 is set iff the
+    sample is -1.
+    """
+    masks = np.zeros(t, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        key = _mix64(np.asarray(_U64(seed & 0xFFFFFFFFFFFFFFFF) + _U64(index) * _GAMMA))
-        clocks = np.arange(1, t + 1, dtype=np.uint64)
-        words = _mix64(key + clocks * _GAMMA)
-    bits = (words >> _U64(63)).astype(np.int64)
-    return 2 * bits - 1
+        clocks = np.arange(1, t + 1, dtype=np.uint64) * _GAMMA
+        for index in range(1, m + 1):
+            key = _mix64(np.asarray(_U64(seed & 0xFFFFFFFFFFFFFFFF) + _U64(index) * _GAMMA))
+            words = _mix64(key + clocks)
+            masks |= (~words >> _U64(63)) << _U64(index - 1)
+    masks.flags.writeable = False
+    return masks
 
 
 @dataclass(frozen=True)
 class ReferenceSystem:
     """The M logic-high reference RTWs of a squeezed noise-bit system.
 
-    Regeneration from (seed, m, t) is bit-identical. The logic-low
-    reference (constant 1) is exposed as :attr:`low` but never stored as
-    data of its own.
+    Stored as one word per clock: bit (i-1) of ``negative_masks[t]`` is set
+    iff high reference i is -1 at clock t. Every reference and product
+    state is derived from these words, and regeneration from (seed, m, t)
+    is bit-identical, so (m, t, seed) alone decide equality. The logic-low
+    reference (constant 1) is exposed as :attr:`low` but never stored.
     """
 
     m: int
     t: int
     seed: int
-    highs: tuple[Trace, ...] = field(repr=False)
+    negative_masks: np.ndarray = field(repr=False, compare=False)
 
     def high(self, i: int) -> Trace:
         """High reference RTW of noise-bit ``i`` (1-based)."""
         if not 1 <= i <= self.m:
             raise DimensionError(f"noise-bit index {i} outside 1..{self.m}")
-        return self.highs[i - 1]
+        return Trace(product_signs(1 << (i - 1), self.negative_masks), f"high_{i}")
 
-    @cached_property
+    @property
+    def highs(self) -> tuple[Trace, ...]:
+        """All M high references, derived from the masks on each access."""
+        return tuple(self.high(i) for i in range(1, self.m + 1))
+
+    @property
     def low(self) -> Trace:
         return low_reference(self.t)
 
-    @cached_property
+    @property
     def ones(self) -> Trace:
-        """Product of all M high references: the all-high product string.
-
-        Computed on first use and cached (write-once; safe for concurrent
-        readers).
-        """
-        acc = np.ones(self.t, dtype=np.int64)
-        for high in self.highs:
-            acc *= high.samples
-        return Trace(acc, "ones")
-
-    @cached_property
-    def negative_masks(self) -> np.ndarray:
-        """Per-clock bitmask of which high references are -1.
-
-        Bit (i-1) of entry t is set iff high trace i has sample -1 at
-        clock t. Lets any product state's sample be recovered as a popcount
-        parity; the brute-force decoder builds on this.
-        """
-        masks = np.zeros(self.t, dtype=np.uint64)
-        for i, high in enumerate(self.highs, start=1):
-            masks |= (high.samples < 0).astype(np.uint64) << _U64(i - 1)
-        masks.flags.writeable = False
-        return masks
+        """Product of all M high references: the all-high product string."""
+        return Trace(product_signs((1 << self.m) - 1, self.negative_masks), "ones")
 
 
 def generate_reference_system(m: int, t: int, seed: int) -> ReferenceSystem:
@@ -206,10 +234,7 @@ def generate_reference_system(m: int, t: int, seed: int) -> ReferenceSystem:
             f"m={m} exceeds the engine limit of {MAX_NOISE_BITS} noise-bits "
             "(superposition amplitudes are stored as signed 64-bit integers)"
         )
-    highs = tuple(
-        Trace(_rtw_samples(seed, i, t), label=f"high_{i}") for i in range(1, m + 1)
-    )
-    return ReferenceSystem(m=m, t=t, seed=seed, highs=highs)
+    return ReferenceSystem(m=m, t=t, seed=seed, negative_masks=_negative_masks(seed, m, t))
 
 
 # --- orthogonality checking -------------------------------------------------
@@ -276,7 +301,8 @@ def check_orthogonality(sys: ReferenceSystem, z: float = 4.0) -> OrthogonalityRe
     pairs = []
     for i in range(1, sys.m + 1):
         for k in range(i, sys.m + 1):
-            corr = float((sys.high(i).samples * sys.high(k).samples).mean())
+            pair_mask = (1 << (i - 1)) ^ (1 << (k - 1))
+            corr = float(product_signs(pair_mask, sys.negative_masks).mean())
             if i == k:
                 status = PASS if corr == 1.0 else FAIL
             elif not conclusive:
@@ -290,6 +316,13 @@ def check_orthogonality(sys: ReferenceSystem, z: float = 4.0) -> OrthogonalityRe
 # --- trace serialization ----------------------------------------------------
 
 CSV_HEADER = "clock,amplitude"
+
+
+def _parsed_samples(samples: list[int]) -> np.ndarray:
+    try:
+        return np.array(samples, dtype=np.int64)
+    except OverflowError as exc:
+        raise TraceParseError("an amplitude lies outside the int64 range") from exc
 
 
 def trace_to_csv(trace: Trace) -> str:
@@ -317,7 +350,7 @@ def trace_from_csv(text: str) -> Trace:
         samples.append(amplitude)
     if not samples:
         raise TraceParseError("trace has no samples")
-    return Trace(np.array(samples, dtype=np.int64))
+    return Trace(_parsed_samples(samples))
 
 
 def trace_to_json(trace: Trace) -> str:
@@ -343,7 +376,7 @@ def trace_from_json(text: str) -> Trace:
     label = payload.get("label")
     if label is not None and not isinstance(label, str):
         raise TraceParseError("'label' must be a string or null")
-    trace = Trace(np.array(samples, dtype=np.int64), label)
+    trace = Trace(_parsed_samples(samples), label)
     if "T" in payload and payload["T"] != trace.t:
         raise TraceParseError(f"declared T={payload['T']} but {trace.t} samples present")
     return trace

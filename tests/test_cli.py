@@ -184,6 +184,23 @@ class TestGate:
         code, _, _ = run(capsys, "gate", "xor", "--a", "1100", "--out", tmp_path)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "operand",
+        [
+            "4611686018427387904*1100+4611686018427387904*1010",  # sum hits 2^63
+            "99999999999999999999*1100",  # coefficient beyond int64
+        ],
+        ids=["wraps", "beyond-int64"],
+    )
+    def test_amplitude_overflow_exits_2(self, tmp_path, capsys, operand):
+        code, _, err = run(
+            capsys, "gate", "xor", "--a", operand, "--b", "1000", "--out", tmp_path
+        )
+        assert code == 2
+        assert err.startswith("error:") and "2^63" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "gate_xor.csv").exists()
+
 
 class TestCompare:
     def test_identical(self, tmp_path, capsys):
@@ -219,6 +236,21 @@ class TestCompare:
     def test_missing_file(self, tmp_path, capsys):
         code, _, err = run(capsys, "compare", tmp_path / "nope.csv", tmp_path / "nope.csv")
         assert code == 4
+
+    @pytest.mark.parametrize(
+        "name,text",
+        [
+            ("big.csv", "clock,amplitude\n0,99999999999999999999\n"),
+            ("big.json", '{"samples": [99999999999999999999]}\n'),
+        ],
+        ids=["csv", "json"],
+    )
+    def test_out_of_range_amplitude_is_parse_failure(self, tmp_path, capsys, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        code, _, err = run(capsys, "compare", path, path)
+        assert code == 4
+        assert err.startswith("parse error:")
 
     def test_parse_failure(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

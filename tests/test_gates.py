@@ -13,10 +13,8 @@ from noiselogic import (
     not_operator,
     superpose,
     synthesize,
-    xnor_bit,
     xnor_pair,
     xnor_targeted,
-    xor_bit,
     xor_pair,
     xor_targeted,
 )
@@ -66,23 +64,23 @@ class TestNot:
 
 
 class TestBitGates:
+    # single noise-bit signals: xor_pair is the bit XOR, and the targeted
+    # XNOR with value 0 turns it into the bit XNOR
     def test_xor_bit_truth_table(self, sys4):
         high, low = sys4.high(1), sys4.low
-        assert xor_bit(sys4, 1, high, low) == high  # 1 xor 0 -> high
-        assert xor_bit(sys4, 1, high, high) == low  # 1 xor 1 -> low
-        assert xor_bit(sys4, 1, low, low) == low  # 0 xor 0 -> low
+        assert xor_pair(high, low) == high  # 1 xor 0 -> high
+        assert xor_pair(high, high) == low  # 1 xor 1 -> low
+        assert xor_pair(low, low) == low  # 0 xor 0 -> low
 
     def test_xnor_bit_truth_table(self, sys4):
         high, low = sys4.high(1), sys4.low
-        assert xnor_bit(sys4, 1, high, low) == low  # 1 xnor 0 -> low
-        assert xnor_bit(sys4, 1, high, high) == high  # 1 xnor 1 -> high
-        assert xnor_bit(sys4, 1, low, low) == high  # 0 xnor 0 -> high
 
-    def test_bit_index_validated(self, sys4):
-        with pytest.raises(TargetIndexError):
-            xor_bit(sys4, 0, sys4.low, sys4.low)
-        with pytest.raises(TargetIndexError):
-            xnor_bit(sys4, 9, sys4.low, sys4.low)
+        def xnor(a, b):
+            return xnor_targeted(sys4, xor_pair(a, b), 1, 0)
+
+        assert xnor(high, low) == low  # 1 xnor 0 -> low
+        assert xnor(high, high) == high  # 1 xnor 1 -> high
+        assert xnor(low, low) == high  # 0 xnor 0 -> high
 
 
 class TestPairGates:

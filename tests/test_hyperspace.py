@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from noiselogic import (
+    AmplitudeOverflowError,
     BitString,
     DimensionError,
     LengthMismatchError,
     ProductTerm,
     SymbolicSuperposition,
+    Trace,
     WidthMismatchError,
     generate_reference_system,
     low_reference,
@@ -125,6 +127,13 @@ class TestSuperpose:
         with pytest.raises(LengthMismatchError):
             superpose([sys4.low, low_reference(5)])
 
+    def test_refuses_int64_overflow(self, sys4):
+        big = Trace(np.full(100, 1 << 62, dtype=np.int64))
+        with pytest.raises(AmplitudeOverflowError):
+            superpose([big, big])
+        top = superpose([big, Trace(np.full(100, (1 << 62) - 1, dtype=np.int64))])
+        assert set(top.samples) == {(1 << 63) - 1}
+
 
 class TestUniverse:
     def test_m4_support_and_fraction(self):
@@ -189,3 +198,17 @@ class TestRealize:
         for n in range(16):
             s = BitString(4, n)
             assert product_trace(sys4, s.to_term()) == synthesize(sys4, s)
+
+    @pytest.mark.parametrize(
+        "terms",
+        [{0b0011: 1 << 62, 0b0101: 1 << 62}, {0b0011: -(1 << 63)}, {0b0011: 10**20}],
+        ids=["sum-reaches-2^63", "min-int64", "beyond-int64"],
+    )
+    def test_refuses_int64_overflow(self, sys4, terms):
+        with pytest.raises(AmplitudeOverflowError):
+            realize(sys4, SymbolicSuperposition(4, terms))
+
+    def test_largest_coefficient_sum_realizes(self, sys4):
+        sup = SymbolicSuperposition(4, {0b0011: 1 << 62, 0b0101: (1 << 62) - 1})
+        out = realize(sys4, sup)
+        assert int(abs(out.samples).max()) == (1 << 63) - 1

@@ -1,9 +1,12 @@
 """Reference noise system: generation, algebra, orthogonality, serialization."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from noiselogic import (
+    AmplitudeOverflowError,
     DimensionError,
     LengthMismatchError,
     Trace,
@@ -26,6 +29,37 @@ def test_generation_domain():
     for high in sys.highs:
         assert high.t == 100
         assert set(np.unique(high.samples)) <= {-1, 1}
+
+
+# SHA-256 of negative_masks.tobytes(): any change to the generator's stream
+# (mixing, key/clock arithmetic or bit packing) shows up here.
+GOLDEN_MASK_DIGESTS = {
+    (4, 128, 7): "72d2665194271b32c086e356b2408f85ab814c199ae9710e596255100f7e5592",
+    (62, 4096, 2**64 - 1): "9241082845230aff37a5fcef3faac514f1f1acdec2169e33d907be24641904df",
+}
+
+
+@pytest.mark.parametrize("m,t,seed", list(GOLDEN_MASK_DIGESTS), ids=["small", "large"])
+def test_generation_golden_digest(m, t, seed):
+    masks = generate_reference_system(m, t, seed).negative_masks
+    assert masks.dtype == np.uint64 and masks.shape == (t,)
+    assert hashlib.sha256(masks.tobytes()).hexdigest() == GOLDEN_MASK_DIGESTS[m, t, seed]
+
+
+def test_negative_masks_match_high_signs():
+    sys = generate_reference_system(5, 300, seed=13)
+    for i in range(1, 6):
+        negative = (sys.negative_masks >> np.uint64(i - 1)) & np.uint64(1)
+        assert np.array_equal(sys.high(i).samples, 1 - 2 * negative.astype(np.int64))
+    with pytest.raises(ValueError):
+        sys.negative_masks[0] = 0
+
+
+def test_system_equality_follows_arguments():
+    a = generate_reference_system(3, 64, seed=5)
+    assert a == generate_reference_system(3, 64, seed=5)
+    assert hash(a) == hash(generate_reference_system(3, 64, seed=5))
+    assert a != generate_reference_system(3, 64, seed=6)
 
 
 def test_generation_minimal():
@@ -156,6 +190,20 @@ def test_trace_immutable():
         tr.samples[0] = 5
 
 
+def test_arithmetic_refuses_int64_overflow():
+    big = Trace(np.array([1 << 62, -1], dtype=np.int64))
+    with pytest.raises(AmplitudeOverflowError):
+        big + big
+    with pytest.raises(AmplitudeOverflowError):
+        2 * big
+    with pytest.raises(AmplitudeOverflowError):
+        multiply_traces(big, Trace(np.array([2, 1], dtype=np.int64)))
+    with pytest.raises(AmplitudeOverflowError):
+        -Trace(np.array([-(1 << 63)], dtype=np.int64))
+    # just inside the range still works
+    assert (big + Trace(np.array([(1 << 62) - 1, 0]))).samples[0] == (1 << 63) - 1
+
+
 def test_trace_operator_sugar():
     sys = generate_reference_system(2, 32, seed=6)
     a, b = sys.high(1), sys.high(2)
@@ -215,3 +263,11 @@ def test_csv_parse_failures(text):
 def test_json_parse_failures(text):
     with pytest.raises(TraceParseError):
         trace_from_json(text)
+
+
+@pytest.mark.parametrize("amplitude", [99999999999999999999, 1 << 63, -(1 << 63) - 1])
+def test_parsers_reject_out_of_range_amplitudes(amplitude):
+    with pytest.raises(TraceParseError):
+        trace_from_csv(f"clock,amplitude\n0,1\n1,{amplitude}\n")
+    with pytest.raises(TraceParseError):
+        trace_from_json(f'{{"samples": [1, {amplitude}]}}')
