@@ -4,14 +4,13 @@ The signal engine identifies states by construction; these decoders read
 them back. Product-state decoding is an exhaustive scan over all 2^M
 candidates with early exit, so a wrong candidate survives k clocks with
 probability 2^-k and the expected cost is O(2^M + T). Superposition
-decoding correlates against the full synthesized basis and then verifies
-the reconstruction exactly, refusing near-matches.
+decoding correlates against all 2^M product states through one
+Walsh–Hadamard transform and then verifies exactly, refusing near-matches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -24,11 +23,11 @@ from .errors import (
 )
 from .hyperspace import BitString, universe
 from .oracle import ProductTerm, SymbolicSuperposition
-from .reference import ReferenceSystem, Trace, product_signs
+from .reference import INT64_HEADROOM, ReferenceSystem, Trace, max_abs, product_signs
 
 #: Brute-force candidate scan cap for product decoding.
 MAX_DECODE_PRODUCT_BITS = 20
-#: Basis-correlation cap for superposition decoding (2^M basis traces).
+#: Superposition decoding cap (2^M coefficients per round).
 MAX_DECODE_SUPERPOSITION_BITS = 12
 
 
@@ -77,16 +76,16 @@ def decode_product(sys: ReferenceSystem, x: Trace) -> BitString:
     return BitString(sys.m, ProductTerm(sys.m, int(candidates[0])).value())
 
 
-def _basis_chunks(sys: ReferenceSystem, chunk: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (clock offset, basis block) pairs; block row n is the product
-    state with mask word n restricted to the clock window."""
-    for t0 in range(0, sys.t, chunk):
-        t1 = min(t0 + chunk, sys.t)
-        negatives = sys.negative_masks[t0:t1]
-        block = np.ones((1, t1 - t0), dtype=np.int64)
-        for i in range(sys.m):
-            block = np.vstack([block, block * product_signs(1 << i, negatives)])
-        yield t0, block
+def _walsh(v: np.ndarray) -> np.ndarray:
+    """Unnormalised Walsh–Hadamard transform ``out[n] = sum_w v[w]*(-1)^parity(n & w)``
+    of a length-2^k vector, one butterfly per bit level (Fino & Algazi, 1976);
+    every intermediate is bounded by ``sum |v|``."""
+    half = 1
+    while half < v.size:
+        pairs = v.reshape(-1, 2, half)
+        v = np.stack((pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]), axis=1).ravel()
+        half *= 2
+    return v
 
 
 def decode_superposition(
@@ -102,6 +101,12 @@ def decode_superposition(
     :class:`SuperpositionDecodeError` is raised instead of accepting a
     near-match (trace outside the integer lattice, or T too short for the
     rounding to settle).
+
+    Basis state n is ``1 - 2*parity(n & negative_masks[t])``, so the
+    correlations are the Walsh–Hadamard transform of the residual summed
+    per sign word, and the reconstruction is the transform of the
+    coefficients read at each clock's word: O(T + M*2^M) per round. A
+    round that could leave int64 is refused, never verified wrapped.
     """
     if sys.m > MAX_DECODE_SUPERPOSITION_BITS:
         raise ScaleExceededError(
@@ -111,19 +116,20 @@ def decode_superposition(
     if y.t != sys.t:
         raise LengthMismatchError(f"trace length {y.t} != system length {sys.t}")
 
-    n_basis = 1 << sys.m
-    # keep basis blocks around 8M entries so large-T systems stay bounded
-    chunk = max(1, 8_000_000 // n_basis)
-    target = y.samples.astype(np.int64)
-    coeffs = np.zeros(n_basis, dtype=np.int64)
-    residual = target.copy()
+    words = sys.negative_masks.astype(np.intp)
+    coeffs = np.zeros(1 << sys.m, dtype=np.int64)
+    residual = y.samples
     for _ in range(max_rounds):
         if not residual.any():
             break
-        corr = np.zeros(n_basis, dtype=np.float64)
-        for t0, block in _basis_chunks(sys, chunk):
-            corr += block @ residual[t0 : t0 + block.shape[1]]
-        step = np.rint(corr / sys.t).astype(np.int64)
+        bound = sys.t * max(int(residual.max()), -int(residual.min()))
+        if bound >= INT64_HEADROOM:
+            raise SuperpositionDecodeError(
+                f"T*max|residual| = {bound} >= 2^63 leaves the correlations' int64 headroom"
+            )
+        binned = np.zeros_like(coeffs)
+        np.add.at(binned, words, residual)
+        step = np.rint(_walsh(binned) / sys.t).astype(np.int64)
         if not step.any():
             raise SuperpositionDecodeError(
                 "residual does not correlate to any further integer component; "
@@ -131,16 +137,18 @@ def decode_superposition(
                 "too short for the correlations to round unambiguously)"
             )
         coeffs += step
-        residual = target.copy()
-        for t0, block in _basis_chunks(sys, chunk):
-            residual[t0 : t0 + block.shape[1]] -= coeffs @ block
+        bound = max_abs(y) + sum(map(abs, coeffs.tolist()))
+        if bound >= INT64_HEADROOM:
+            raise SuperpositionDecodeError(
+                f"max|y| + sum|coefficients| = {bound} >= 2^63 leaves the "
+                "reconstruction's int64 headroom"
+            )
+        residual = y.samples - _walsh(coeffs)[words]
     if residual.any():
         raise SuperpositionDecodeError(
             f"verification residual still nonzero after {max_rounds} rounds"
         )
-    return SymbolicSuperposition(
-        sys.m, {mask: int(c) for mask, c in enumerate(coeffs) if c}
-    )
+    return SymbolicSuperposition(sys.m, dict(enumerate(coeffs.tolist())))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import os
 import sys as _sys
 from pathlib import Path
 
-from .analysis import decode_superposition, universe_stats
+from .analysis import MAX_DECODE_SUPERPOSITION_BITS, decode_superposition, universe_stats
 from .errors import (
     DecodeError,
     NoiseLogicError,
@@ -45,8 +45,6 @@ DEFAULT_SEED = 42
 DEFAULT_T = 128
 #: Overrides the default seed when ``--seed`` is not given.
 SEED_ENV_VAR = "NOISELOGIC_SEED"
-#: Engine decode is attempted only up to this width.
-DECODE_M_LIMIT = 12
 
 
 class UsageError(Exception):
@@ -247,14 +245,14 @@ def cmd_gate(args) -> int:
     _write(args, out.with_label(f"gate_{args.kind}"), f"gate_{args.kind}")
 
     decoded = None
-    if width <= DECODE_M_LIMIT:
+    if width <= MAX_DECODE_SUPERPOSITION_BITS:
         try:
             decoded = decode_superposition(sys, out)
             print(f"engine: {decoded.format()}")
         except DecodeError as exc:
             print(f"engine: decode failed ({exc})")
     else:
-        print(f"engine: decode skipped (M={width} exceeds decode cap {DECODE_M_LIMIT})")
+        print(f"engine: decode skipped (M={width} exceeds decode cap {MAX_DECODE_SUPERPOSITION_BITS})")
     print(f"oracle: {predicted.format()}")
 
     if realize(sys, predicted) != out:

@@ -74,12 +74,8 @@ class ProductTerm:
         """Parse an MSB-first bit string such as ``"0110"`` (bit 1 leftmost)."""
         if not text or any(c not in "01" for c in text):
             raise WidthMismatchError(f"not a bit string: {text!r}")
-        width = len(text)
-        mask = 0
-        for i, c in enumerate(text, start=1):
-            if c == "1":
-                mask |= 1 << (i - 1)
-        return cls(width, mask)
+        # character i-1 is mask bit i-1, so the reversed text is the mask's binary
+        return cls(len(text), int(text[::-1], 2))
 
     @classmethod
     def from_value(cls, width: int, value: int) -> "ProductTerm":
@@ -87,11 +83,7 @@ class ProductTerm:
         _check_width(width)
         if not 0 <= value < (1 << width):
             raise WidthMismatchError(f"value {value} does not fit in {width} bits")
-        mask = 0
-        for i in range(1, width + 1):
-            if value >> (width - i) & 1:
-                mask |= 1 << (i - 1)
-        return cls(width, mask)
+        return cls.from_text(format(value, f"0{width}b"))
 
     @property
     def indices(self) -> frozenset[int]:
@@ -106,7 +98,7 @@ class ProductTerm:
 
     def text(self) -> str:
         """MSB-first bit string; bit 1 is the leftmost character."""
-        return "".join("1" if self.mask >> (i - 1) & 1 else "0" for i in range(1, self.width + 1))
+        return format(self.mask, f"0{self.width}b")[::-1]
 
     def value(self) -> int:
         """Decimal value of the MSB-first bit string."""

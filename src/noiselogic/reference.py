@@ -371,14 +371,15 @@ def trace_from_json(text: str) -> Trace:
     if not isinstance(payload, dict) or "samples" not in payload:
         raise TraceParseError("expected an object with a 'samples' array")
     samples = payload["samples"]
-    if not isinstance(samples, list) or not all(isinstance(v, int) for v in samples):
+    # type(v) is int: JSON true/false load as bool, a subclass of int
+    if not isinstance(samples, list) or not all(type(v) is int for v in samples):
         raise TraceParseError("'samples' must be an array of integers")
     label = payload.get("label")
     if label is not None and not isinstance(label, str):
         raise TraceParseError("'label' must be a string or null")
     trace = Trace(_parsed_samples(samples), label)
-    if "T" in payload and payload["T"] != trace.t:
-        raise TraceParseError(f"declared T={payload['T']} but {trace.t} samples present")
+    if "T" in payload and (type(payload["T"]) is not int or payload["T"] != trace.t):
+        raise TraceParseError(f"declared T={payload['T']!r} but {trace.t} samples present")
     return trace
 
 

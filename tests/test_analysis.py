@@ -26,6 +26,8 @@ from noiselogic import (
     universe_stats,
     xor_pair,
 )
+from noiselogic import analysis
+from noiselogic.reference import product_signs
 
 
 @pytest.fixture
@@ -118,6 +120,76 @@ class TestDecodeSuperposition:
         sys = generate_reference_system(13, 8, seed=1)
         with pytest.raises(ScaleExceededError):
             decode_superposition(sys, sys.low)
+
+    @pytest.mark.parametrize(
+        "m,t", [(1, 8), (3, 4096), (4, 16), (4, 128), (6, 64), (8, 256), (8, 1000), (10, 512)]
+    )
+    @pytest.mark.parametrize("c_max", [1, 8, 64])
+    @pytest.mark.parametrize("on_lattice", [True, False], ids=["on-lattice", "off-lattice"])
+    def test_matches_explicit_basis_decoder(self, m, t, c_max, on_lattice):
+        rng = np.random.default_rng([m, t, c_max, on_lattice])
+        sys = generate_reference_system(m, t, seed=int(rng.integers(1 << 32)))
+        for _ in range(4):
+            n_terms = int(rng.integers(1, min(8, 1 << m) + 1))
+            masks = rng.choice(1 << m, size=n_terms, replace=False)
+            coeffs = rng.choice([-1, 1], size=n_terms) * rng.integers(1, c_max + 1, size=n_terms)
+            y = realize(sys, SymbolicSuperposition(m, dict(zip(masks.tolist(), coeffs.tolist()))))
+            if not on_lattice:
+                samples = y.samples.copy()
+                samples[rng.choice(t, size=max(1, t // 100), replace=False)] += 1
+                y = Trace(samples)
+            assert _outcome(decode_superposition, sys, y) == _outcome(
+                _explicit_basis_decode, sys, y
+            )
+
+    def test_correlation_headroom_refused_before_any_round(self, monkeypatch):
+        # T * max|y| = 128 * 2^56 = 2^63: the correlations could wrap int64
+        sys = generate_reference_system(4, 128, seed=23)
+        y = Trace(np.full(128, 1 << 56, dtype=np.int64))
+
+        def no_transform(v):
+            raise AssertionError("transform reached past the headroom check")
+
+        monkeypatch.setattr(analysis, "_walsh", no_transform)
+        with pytest.raises(SuperpositionDecodeError, match=r"2\^63.*int64 headroom"):
+            decode_superposition(sys, y)
+
+    def test_reconstruction_headroom_refused(self):
+        # one clock of 2^59 at T=8 correlates to +-2^56 on all 4096 states, so
+        # the coefficients sum to 2^68 and the reconstruction could wrap int64
+        sys = generate_reference_system(12, 8, seed=1)
+        samples = np.zeros(8, dtype=np.int64)
+        samples[0] = 1 << 59
+        with pytest.raises(SuperpositionDecodeError, match="reconstruction's int64 headroom"):
+            decode_superposition(sys, Trace(samples))
+
+
+def _explicit_basis_decode(sys, y, max_rounds=32):
+    """The decoder before the Walsh–Hadamard transform, kept as a reference:
+    the same greedy rounds, correlating and reconstructing against the whole
+    2^M x T basis of product states."""
+    masks = np.arange(1 << sys.m, dtype=np.uint64)[:, None]
+    basis = product_signs(masks, sys.negative_masks)
+    coeffs = np.zeros(1 << sys.m, dtype=np.int64)
+    residual = y.samples.copy()
+    for _ in range(max_rounds):
+        if not residual.any():
+            break
+        step = np.rint((basis @ residual).astype(np.float64) / sys.t).astype(np.int64)
+        if not step.any():
+            raise SuperpositionDecodeError("no further integer component")
+        coeffs += step
+        residual = y.samples - coeffs @ basis
+    if residual.any():
+        raise SuperpositionDecodeError("verification residual still nonzero")
+    return SymbolicSuperposition(sys.m, dict(enumerate(coeffs.tolist())))
+
+
+def _outcome(decoder, sys, y):
+    try:
+        return decoder(sys, y)
+    except SuperpositionDecodeError as exc:
+        return type(exc)
 
 
 class TestAgreement:

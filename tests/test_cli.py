@@ -4,7 +4,15 @@ import json
 
 import pytest
 
-from noiselogic import read_trace, generate_reference_system, synthesize, universe
+from noiselogic import (
+    ProductTerm,
+    SymbolicSuperposition,
+    generate_reference_system,
+    read_trace,
+    realize,
+    synthesize,
+    universe,
+)
 from noiselogic.cli import main
 
 
@@ -201,6 +209,27 @@ class TestGate:
         assert "Traceback" not in err
         assert not (tmp_path / "gate_xor.csv").exists()
 
+    def test_decode_skipped_above_cap(self, tmp_path, capsys):
+        code, out, _ = run(
+            capsys, "gate", "not", "--targets", 1, "--input", "1" + "0" * 12, "--out", tmp_path
+        )
+        assert code == 0
+        assert "engine: decode skipped (M=13 exceeds decode cap 12)" in out.splitlines()
+
+    @pytest.mark.parametrize("k", [16, 1 << 60], ids=["16", "2^60"])
+    def test_large_coefficient_never_decodes_wrong(self, tmp_path, capsys, k):
+        # the greedy decoder may refuse these, but must not name another state
+        code, out, _ = run(
+            capsys, "gate", "xor", "--a", f"{k}*1100", "--b", "1000", "--out", tmp_path
+        )
+        assert code == 0
+        oracle = SymbolicSuperposition(4, {ProductTerm.from_text("0100").mask: k})
+        sys = generate_reference_system(4, 128, seed=42)
+        assert read_trace(tmp_path / "gate_xor.csv") == realize(sys, oracle)
+        (engine,) = [line for line in out.splitlines() if line.startswith("engine:")]
+        failed = engine.startswith("engine: decode failed (")
+        assert engine == f"engine: {oracle.format()}" or failed
+
 
 class TestCompare:
     def test_identical(self, tmp_path, capsys):
@@ -247,6 +276,18 @@ class TestCompare:
     )
     def test_out_of_range_amplitude_is_parse_failure(self, tmp_path, capsys, name, text):
         path = tmp_path / name
+        path.write_text(text)
+        code, _, err = run(capsys, "compare", path, path)
+        assert code == 4
+        assert err.startswith("parse error:")
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"samples": [true, false]}', '{"T": true, "samples": [5]}'],
+        ids=["bool-samples", "bool-T"],
+    )
+    def test_json_booleans_are_parse_failures(self, tmp_path, capsys, text):
+        path = tmp_path / "bool.json"
         path.write_text(text)
         code, _, err = run(capsys, "compare", path, path)
         assert code == 4

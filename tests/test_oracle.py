@@ -42,6 +42,19 @@ class TestProductTerm:
         assert p.value() == 0b1100
         assert ProductTerm.from_value(4, 0b1100) == p
 
+    @given(st.data())
+    def test_text_and_value_round_trip(self, data):
+        width = data.draw(st.integers(1, 62))
+        text = data.draw(st.text(alphabet="01", min_size=width, max_size=width))
+        p = ProductTerm.from_text(text)
+        # bit-by-bit reference: character i-1 is mask bit i-1
+        assert p.mask == sum(1 << i for i, c in enumerate(text) if c == "1")
+        assert p.text() == text
+        value = data.draw(st.integers(0, (1 << width) - 1))
+        q = ProductTerm.from_value(width, value)
+        assert q.value() == value
+        assert q.text() == format(value, f"0{width}b")
+
     def test_ones_and_zeros(self):
         assert ProductTerm.ones(3).indices == frozenset({1, 2, 3})
         assert ProductTerm.zeros(3).indices == frozenset()

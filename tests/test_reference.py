@@ -258,7 +258,18 @@ def test_csv_parse_failures(text):
 
 @pytest.mark.parametrize(
     "text",
-    ["{", "[]", '{"samples": "xx"}', '{"samples": [1.5]}', '{"T": 3, "samples": [1]}'],
+    [
+        "{",
+        "[]",
+        '{"samples": "xx"}',
+        '{"samples": [1.5]}',
+        '{"T": 3, "samples": [1]}',
+        '{"samples": [true, false]}',  # JSON booleans are not amplitudes
+        '{"samples": [1, true]}',
+        '{"T": true, "samples": [5]}',  # T must be an integer, not True == 1
+        '{"T": 1.0, "samples": [5]}',
+        '{"T": "1", "samples": [5]}',
+    ],
 )
 def test_json_parse_failures(text):
     with pytest.raises(TraceParseError):
