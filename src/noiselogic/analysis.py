@@ -1,11 +1,12 @@
 """Trace readout and statistics.
 
 The signal engine identifies states by construction; these decoders read
-them back. Product-state decoding is an exhaustive scan over all 2^M
-candidates with early exit, so a wrong candidate survives k clocks with
-probability 2^-k and the expected cost is O(2^M + T). Superposition
-decoding correlates against all 2^M product states through one
-Walsh–Hadamard transform and then verifies exactly, refusing near-matches.
+them back. Product-state decoding solves one GF(2) equation per clock by
+incremental elimination: it is exact for every M up to 62, and a random
+window reaches full rank after about M+2 clocks of at most M word XORs
+each, followed by one vectorised O(T) check. Superposition decoding
+correlates against all 2^M product states through one Walsh–Hadamard
+transform and then verifies exactly, refusing near-matches.
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ from .hyperspace import BitString, universe
 from .oracle import ProductTerm, SymbolicSuperposition
 from .reference import INT64_HEADROOM, ReferenceSystem, Trace, max_abs, product_signs
 
-#: Brute-force candidate scan cap for product decoding.
-MAX_DECODE_PRODUCT_BITS = 20
+#: Most candidates an :class:`AmbiguousDecodeError` lists; each is a Python
+#: object, so past this only their count and the rank are reported.
+MAX_LISTED_CANDIDATES = 1 << 20
 #: Superposition decoding cap (2^M coefficients per round).
 MAX_DECODE_SUPERPOSITION_BITS = 12
 
@@ -34,46 +36,77 @@ MAX_DECODE_SUPERPOSITION_BITS = 12
 def decode_product(sys: ReferenceSystem, x: Trace) -> BitString:
     """Identify the unique bit string whose hyperspace vector equals ``x``.
 
-    Scans all 2^M candidates, dropping each on its first mismatching
-    clock. Raises :class:`NoMatchError` when nothing matches every clock
-    (``x`` is not a pure product state of this system) and
-    :class:`AmbiguousDecodeError` when several candidates survive the
-    whole window, which can happen only for short T.
+    Clock t says ``parity(mask & negative_masks[t]) == (x[t] < 0)``, one
+    linear equation over GF(2) in the M mask bits. The rows are reduced
+    one clock at a time into an XOR basis keyed by each row's lowest set
+    bit (its first noise-bit). A row that reduces to 0 with right-hand
+    side 1 contradicts the earlier clocks: :class:`NoMatchError`. Once the
+    rank reaches M the unique mask is back-substituted and checked on
+    every clock at once, so a mismatch anywhere is also
+    :class:`NoMatchError`. If the window ends with rank < M, exactly the
+    2^(M-rank) masks of an affine space match every clock and
+    :class:`AmbiguousDecodeError` is raised, listing them in ascending
+    mask order when there are at most :data:`MAX_LISTED_CANDIDATES`.
+    Every answer is exact, for every M up to the engine's 62 noise-bits.
     """
-    if sys.m > MAX_DECODE_PRODUCT_BITS:
-        raise ScaleExceededError(
-            f"product decoding scans 2^M candidates; capped at M={MAX_DECODE_PRODUCT_BITS}"
-        )
     if x.t != sys.t:
         raise LengthMismatchError(f"trace length {x.t} != system length {sys.t}")
     if not x.is_binary():
         raise NoMatchError("trace has samples outside {+1,-1}; not a product state")
 
-    xs = x.samples
-    negatives = sys.negative_masks
-    candidates = np.arange(1 << sys.m, dtype=np.uint64)
-    for t in range(sys.t):
-        if candidates.size == 1:
-            # single survivor: verify it against all remaining clocks at once
-            mask = candidates[0]
-            signs = product_signs(mask, negatives[t:])
-            if not np.array_equal(signs, xs[t:]):
+    basis: dict[int, tuple[int, int]] = {}
+    for row, rhs in zip(map(int, sys.negative_masks), map(int, x.samples < 0)):
+        while row:
+            low = row & -row
+            pivot = basis.get(low)
+            if pivot is None:
+                basis[low] = (row, rhs)
+                break
+            row ^= pivot[0]
+            rhs ^= pivot[1]
+        else:
+            if rhs:
                 raise NoMatchError("trace is not a product state of this system")
-            break
-        signs = product_signs(candidates, negatives[t])
-        candidates = candidates[signs == xs[t]]
-        if candidates.size == 0:
-            raise NoMatchError("trace is not a product state of this system")
-    if candidates.size > 1:
-        found = [
-            BitString(sys.m, ProductTerm(sys.m, int(m)).value()) for m in candidates
-        ]
+        if len(basis) == sys.m:
+            mask = _back_substitute(basis, 0)
+            if not np.array_equal(product_signs(mask, sys.negative_masks), x.samples):
+                raise NoMatchError("trace is not a product state of this system")
+            return BitString(sys.m, ProductTerm(sys.m, mask).value())
+
+    rank = len(basis)
+    free = sys.m - rank
+    message = (
+        f"{1 << free} = 2^{free} product states match over T={sys.t} clocks "
+        f"(GF(2) rank {rank} of M={sys.m}; window too short to separate candidates)"
+    )
+    if 1 << free > MAX_LISTED_CANDIDATES:
         raise AmbiguousDecodeError(
-            f"{candidates.size} product states match over T={sys.t} clocks "
-            "(window too short to separate candidates)",
-            candidates=found,
+            f"{message}; more than {MAX_LISTED_CANDIDATES} candidates, none listed"
         )
-    return BitString(sys.m, ProductTerm(sys.m, int(candidates[0])).value())
+    # Each pivot bit depends only on higher bits, so the highest bit in
+    # which two solutions differ is free: counting through the free bits
+    # in binary enumerates the masks in ascending order.
+    homogeneous = {low: (row, 0) for low, (row, _) in basis.items()}
+    masks = [_back_substitute(basis, 0)]
+    for bit in range(sys.m):
+        if 1 << bit not in basis:
+            step = _back_substitute(homogeneous, 1 << bit)
+            masks += [m ^ step for m in masks]
+    found = [BitString(sys.m, ProductTerm(sys.m, m).value()) for m in masks]
+    raise AmbiguousDecodeError(message, candidates=found)
+
+
+def _back_substitute(basis: dict[int, tuple[int, int]], mask: int) -> int:
+    """Complete ``mask`` (free bits already set) to a solution of ``basis``.
+
+    Each row holds its pivot as its lowest bit, so pivots are solved from
+    the highest down, every other bit of the row being known by then.
+    """
+    for low in sorted(basis, reverse=True):
+        row, rhs = basis[low]
+        if (row & mask).bit_count() & 1 != rhs:
+            mask |= low
+    return mask
 
 
 def _walsh(v: np.ndarray) -> np.ndarray:

@@ -44,7 +44,12 @@ class NoMatchError(DecodeError):
 
 
 class AmbiguousDecodeError(DecodeError):
-    """More than one product state matches the trace (window too short)."""
+    """More than one product state matches the trace (window too short).
+
+    ``candidates`` holds every matching bit string in ascending mask order
+    when there are at most 2^20 of them, and is empty otherwise; the
+    message gives their count and the GF(2) rank the window reached.
+    """
 
     def __init__(self, message: str, candidates=()):
         super().__init__(message)

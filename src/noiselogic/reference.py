@@ -328,8 +328,9 @@ def _parsed_samples(samples: list[int]) -> np.ndarray:
 def trace_to_csv(trace: Trace) -> str:
     """CSV form: header ``clock,amplitude``, one row per clock from 0."""
     lines = [CSV_HEADER]
-    lines.extend(f"{t},{v}" for t, v in enumerate(trace.samples))
-    return "\n".join(lines) + "\n"
+    lines.extend(f"{t},{v}" for t, v in enumerate(trace.samples.tolist()))
+    lines.append("")  # the trailing newline, without copying the joined text
+    return "\n".join(lines)
 
 
 def trace_from_csv(text: str) -> Trace:
@@ -358,7 +359,7 @@ def trace_to_json(trace: Trace) -> str:
     payload = {
         "T": trace.t,
         "label": trace.label,
-        "samples": [int(v) for v in trace.samples],
+        "samples": trace.samples.tolist(),
     }
     return json.dumps(payload) + "\n"
 

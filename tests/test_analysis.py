@@ -8,7 +8,9 @@ import pytest
 from noiselogic import (
     AmbiguousDecodeError,
     BitString,
+    DecodeError,
     NoMatchError,
+    ProductTerm,
     ScaleExceededError,
     SuperpositionDecodeError,
     SymbolicSuperposition,
@@ -24,7 +26,10 @@ from noiselogic import (
     synthesize,
     universe,
     universe_stats,
+    xnor_pair,
+    xnor_targeted,
     xor_pair,
+    xor_targeted,
 )
 from noiselogic import analysis
 from noiselogic.reference import product_signs
@@ -69,9 +74,77 @@ class TestDecodeProduct:
         assert BitString(3, 0) in info.value.candidates
 
     def test_scale_cap(self):
-        sys = generate_reference_system(21, 4, seed=1)
-        with pytest.raises(ScaleExceededError):
-            decode_product(sys, sys.low)
+        # elimination is exact up to the engine's 62 noise-bits: M=21
+        # decodes, and so does M=62 after every kind of gate
+        sys = generate_reference_system(21, 64, seed=1)
+        assert decode_product(sys, sys.low) == BitString(21, 0)
+        rng = np.random.default_rng(62)
+        sys = generate_reference_system(62, 256, seed=int(rng.integers(1 << 32)))
+        a, b, c = (BitString(62, int(v)) for v in rng.integers(0, 1 << 62, size=3))
+        x = apply_not(sys, {1, 17, 62}, synthesize(sys, a))
+        x = xnor_pair(sys, xor_pair(x, synthesize(sys, b)), synthesize(sys, c))
+        x = xnor_targeted(sys, xor_targeted(sys, x, 40, 1), 5, 0)
+        want = (
+            SymbolicSuperposition.of(a.to_term())
+            .gate("not", ProductTerm.from_indices(62, {1, 17, 62}))
+            .gate("xor", b.to_term())
+            .gate("xnor", c.to_term())
+            .gate("xor", ProductTerm.from_indices(62, {40}))
+            .gate("xor", ProductTerm.from_indices(62, {5}))
+        )
+        ((mask, _),) = want.terms.items()
+        assert decode_product(sys, x).text == ProductTerm(62, mask).text()
+        # too short a window leaves 2^(62-rank) candidates, far past listing
+        sys = generate_reference_system(62, 16, seed=3)
+        with pytest.raises(AmbiguousDecodeError) as info:
+            decode_product(sys, synthesize(sys, a))
+        rank = _gf2_rank(sys.negative_masks.tolist())
+        assert info.value.candidates == ()
+        assert f"2^{62 - rank} product states" in str(info.value)
+        assert f"rank {rank} of M=62" in str(info.value)
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 5, 8, 12, 16, 32, 128])
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_matches_brute_force_decoder(self, m, t):
+        rng = np.random.default_rng([m, t])
+        sys = generate_reference_system(m, t, seed=int(rng.integers(1 << 32)))
+        inputs = []
+        for _ in range(2):
+            inputs.append(synthesize(sys, BitString(m, int(rng.integers(1 << m)))))
+            inputs.append(Trace(2 * rng.integers(0, 2, size=t) - 1))
+            samples = synthesize(sys, BitString(m, int(rng.integers(1 << m)))).samples.copy()
+            samples[rng.integers(t)] *= -1
+            inputs.append(Trace(samples))
+        for x in inputs:
+            assert _outcome(decode_product, sys, x) == _outcome(_brute_force_decode, sys, x)
+
+
+def _brute_force_decode(sys, x):
+    """The decoder before GF(2) elimination, kept as a reference: scan all
+    2^M candidate masks, dropping each on its first mismatching clock."""
+    if not x.is_binary():
+        raise NoMatchError("not binary")
+    candidates = np.arange(1 << sys.m, dtype=np.uint64)
+    for t in range(sys.t):
+        signs = product_signs(candidates, sys.negative_masks[t])
+        candidates = candidates[signs == x.samples[t]]
+        if candidates.size == 0:
+            raise NoMatchError("no candidate survives")
+    found = [BitString(sys.m, ProductTerm(sys.m, int(m)).value()) for m in candidates]
+    if len(found) > 1:
+        raise AmbiguousDecodeError("several candidates survive", candidates=found)
+    return found[0]
+
+
+def _gf2_rank(rows):
+    """Rank over GF(2), pivoting on each row's highest set bit."""
+    basis = {}
+    for row in rows:
+        while row and row.bit_length() in basis:
+            row ^= basis[row.bit_length()]
+        if row:
+            basis[row.bit_length()] = row
+    return len(basis)
 
 
 class TestDecodeSuperposition:
@@ -186,9 +259,13 @@ def _explicit_basis_decode(sys, y, max_rounds=32):
 
 
 def _outcome(decoder, sys, y):
+    """A decoder's result, or the class of its refusal (with any listed
+    candidates, in order)."""
     try:
         return decoder(sys, y)
-    except SuperpositionDecodeError as exc:
+    except AmbiguousDecodeError as exc:
+        return type(exc), exc.candidates
+    except DecodeError as exc:
         return type(exc)
 
 
