@@ -18,6 +18,14 @@ from .oracle import ProductTerm, SymbolicSuperposition
 from .reference import ReferenceSystem, Trace, check_headroom, max_abs, product_signs
 
 
+def _parse_int(text: str, base: int) -> int:
+    # "0b12", a bare "0b" and digits int() refuses (such as "²") end here
+    try:
+        return int(text, base)
+    except ValueError:
+        raise WidthMismatchError(f"cannot parse bit string {text!r}") from None
+
+
 @dataclass(frozen=True)
 class BitString:
     """An M-bit binary number; bit 1 is the leftmost printed character."""
@@ -50,7 +58,7 @@ class BitString:
         if text.startswith(("0b", "0B")):
             if width is None:
                 raise WidthMismatchError(f"{text!r} needs an explicit width")
-            return cls(width, int(text, 2))
+            return cls(width, _parse_int(text, 2))
         if text and all(c in "01" for c in text):
             s = cls.from_text(text)
             if width is not None and s.width != width:
@@ -61,7 +69,7 @@ class BitString:
         if text.isdigit():
             if width is None:
                 raise WidthMismatchError(f"decimal {text!r} needs an explicit width")
-            return cls(width, int(text))
+            return cls(width, _parse_int(text, 10))
         raise WidthMismatchError(f"cannot parse bit string {text!r}")
 
     @property

@@ -12,7 +12,9 @@ order and any sample is addressable in O(1).
 
 from __future__ import annotations
 
+import io
 import json
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
@@ -35,6 +37,8 @@ _U64 = np.uint64
 _GAMMA = _U64(0x9E3779B97F4A7C15)
 _MIX_C1 = _U64(0xBF58476D1CE4E5B9)
 _MIX_C2 = _U64(0x94D049BB133111EB)
+#: Clocks mixed per pass of the generator; 2^15 words (256 KiB) stay in cache.
+_GENERATION_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,11 +150,19 @@ def multiply_traces(a: Trace, b: Trace) -> Trace:
     return Trace(a.samples * b.samples)
 
 
-def _mix64(x: np.ndarray) -> np.ndarray:
-    # splitmix64 finalizer; wraparound is the point, so silence overflow.
-    x = (x ^ (x >> _U64(30))) * _MIX_C1
-    x = (x ^ (x >> _U64(27))) * _MIX_C2
-    return x ^ (x >> _U64(31))
+def _mix64(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer, applied to ``x`` in place; ``scratch`` is
+    a same-shape buffer. Wraparound is the point, so callers silence
+    overflow."""
+    np.right_shift(x, _U64(30), out=scratch)
+    x ^= scratch
+    x *= _MIX_C1
+    np.right_shift(x, _U64(27), out=scratch)
+    x ^= scratch
+    x *= _MIX_C2
+    np.right_shift(x, _U64(31), out=scratch)
+    x ^= scratch
+    return x
 
 
 def product_signs(masks, negatives: np.ndarray) -> np.ndarray:
@@ -169,15 +181,26 @@ def _negative_masks(seed: int, m: int, t: int) -> np.ndarray:
 
     Sample (index, clock) = f(seed, index, clock) is +1 iff the top bit of
     its splitmix64 word is 1; bit (index-1) of word clock-1 is set iff the
-    sample is -1.
+    sample is -1. The words are mixed one block of clocks at a time, so the
+    temporaries stay O(_GENERATION_BLOCK) whatever T is.
     """
     masks = np.zeros(t, dtype=np.uint64)
+    width = min(t, _GENERATION_BLOCK)
+    words = np.empty(width, dtype=np.uint64)
+    scratch = np.empty(width, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        clocks = np.arange(1, t + 1, dtype=np.uint64) * _GAMMA
-        for index in range(1, m + 1):
-            key = _mix64(np.asarray(_U64(seed & 0xFFFFFFFFFFFFFFFF) + _U64(index) * _GAMMA))
-            words = _mix64(key + clocks)
-            masks |= (~words >> _U64(63)) << _U64(index - 1)
+        keys = _U64(seed & 0xFFFFFFFFFFFFFFFF) + np.arange(1, m + 1, dtype=np.uint64) * _GAMMA
+        _mix64(keys, np.empty(m, dtype=np.uint64))
+        for start in range(0, t, _GENERATION_BLOCK):
+            block = masks[start : start + _GENERATION_BLOCK]
+            n = block.size
+            clocks = np.arange(start + 1, start + n + 1, dtype=np.uint64) * _GAMMA
+            for bit, key in enumerate(keys):
+                word = _mix64(np.add(clocks, key, out=words[:n]), scratch[:n])
+                np.invert(word, out=word)
+                word >>= _U64(63)
+                word <<= _U64(bit)
+                block |= word
     masks.flags.writeable = False
     return masks
 
@@ -316,6 +339,8 @@ def check_orthogonality(sys: ReferenceSystem, z: float = 4.0) -> OrthogonalityRe
 # --- trace serialization ----------------------------------------------------
 
 CSV_HEADER = "clock,amplitude"
+#: Leading blank lines, the header line and its line end.
+_CSV_HEAD = re.compile(rf"\s*{re.escape(CSV_HEADER)}[^\S\r\n]*(?:\r\n|\r|\n|\Z)")
 
 
 def _parsed_samples(samples: list[int]) -> np.ndarray:
@@ -334,24 +359,39 @@ def trace_to_csv(trace: Trace) -> str:
 
 
 def trace_from_csv(text: str) -> Trace:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != CSV_HEADER:
+    """Parse the CSV form: the header, then one ``clock,amplitude`` row per
+    clock from 0.
+
+    Empty lines are skipped and LF, CRLF or CR line ends are accepted; a
+    line holding only spaces is refused. A field is an optional sign and
+    ASCII decimal digits (no ``_`` separators), with optional spaces around
+    it, in the int64 range. The rows are parsed by numpy's C reader in one
+    call and the clock column is checked in one comparison.
+    """
+    head = _CSV_HEAD.match(text)
+    if head is None:
         raise TraceParseError(f"expected header {CSV_HEADER!r}")
-    samples = []
-    for row, line in enumerate(lines[1:]):
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise TraceParseError(f"row {row}: expected 'clock,amplitude', got {line!r}")
-        try:
-            clock, amplitude = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise TraceParseError(f"row {row}: non-integer field in {line!r}") from exc
-        if clock != row:
-            raise TraceParseError(f"row {row}: clock column reads {clock}")
-        samples.append(amplitude)
-    if not samples:
+    body = text[head.end() :]
+    if not body or body.isspace():  # loadtxt would only warn and return no rows
         raise TraceParseError("trace has no samples")
-    return Trace(_parsed_samples(samples))
+    try:
+        # comments=None: the default "#" would accept "0,1 # note" silently
+        rows = np.loadtxt(
+            io.StringIO(body, newline=None),
+            delimiter=",",
+            dtype=np.int64,
+            comments=None,
+            ndmin=2,
+        )
+    except ValueError as exc:
+        raise TraceParseError(f"malformed row after the header: {exc}") from exc
+    if rows.shape[1] != 2:
+        raise TraceParseError(f"expected 2 columns 'clock,amplitude', got {rows.shape[1]}")
+    wrong = rows[:, 0] != np.arange(rows.shape[0])
+    if wrong.any():
+        row = int(wrong.argmax())
+        raise TraceParseError(f"row {row}: clock column reads {rows[row, 0]}")
+    return Trace(rows[:, 1])
 
 
 def trace_to_json(trace: Trace) -> str:
@@ -396,11 +436,14 @@ def write_trace(trace: Trace, path: str | Path, fmt: str = "csv") -> Path:
 
 
 def read_trace(path: str | Path, fmt: str | None = None) -> Trace:
-    """Read a trace file; format inferred from the suffix unless given."""
+    """Read a UTF-8 trace file; format inferred from the suffix unless given."""
     path = Path(path)
     if fmt is None:
         fmt = path.suffix.lstrip(".").lower()
-    text = path.read_text()
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise TraceParseError(f"{path.name!r} is not UTF-8 text: {exc}") from exc
     if fmt == "csv":
         return trace_from_csv(text)
     if fmt == "json":

@@ -209,6 +209,16 @@ class TestGate:
         assert "Traceback" not in err
         assert not (tmp_path / "gate_xor.csv").exists()
 
+    @pytest.mark.parametrize("literal", ["0b12", "0b", "²"])
+    def test_malformed_literal_exits_2(self, tmp_path, capsys, literal):
+        code, _, err = run(
+            capsys, "gate", "not", "--input", literal, "--m", 4, "--targets", 1,
+            "--out", tmp_path,
+        )
+        assert code == 2
+        assert err.startswith("error:") and "cannot parse bit string" in err
+        assert "Traceback" not in err
+
     def test_decode_skipped_above_cap(self, tmp_path, capsys):
         code, out, _ = run(
             capsys, "gate", "not", "--targets", 1, "--input", "1" + "0" * 12, "--out", tmp_path
@@ -292,6 +302,22 @@ class TestCompare:
         code, _, err = run(capsys, "compare", path, path)
         assert code == 4
         assert err.startswith("parse error:")
+
+    @pytest.mark.parametrize(
+        "name,data",
+        [
+            ("latin1.csv", b"clock,amplitude\n0,1\n1,\xff\n"),
+            ("latin1.json", b'{"label": "\xff", "samples": [1]}\n'),
+        ],
+        ids=["csv", "json"],
+    )
+    def test_non_utf8_file_is_parse_failure(self, tmp_path, capsys, name, data):
+        path = tmp_path / name
+        path.write_bytes(data)
+        code, _, err = run(capsys, "compare", path, path)
+        assert code == 4
+        assert err.startswith("parse error:") and name in err
+        assert "Traceback" not in err
 
     def test_parse_failure(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

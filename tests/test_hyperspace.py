@@ -51,6 +51,12 @@ class TestBitString:
         with pytest.raises(WidthMismatchError):
             BitString.parse("1100", width=5)
 
+    @pytest.mark.parametrize("text", ["0b12", "0b", "0B", "0bx1", "²", "1²"])
+    def test_parse_rejects_malformed_literals(self, text):
+        # "0b..." and str.isdigit() forms reach int(), which refuses these
+        with pytest.raises(WidthMismatchError, match="cannot parse bit string"):
+            BitString.parse(text, width=4)
+
     def test_value_range(self):
         with pytest.raises(WidthMismatchError):
             BitString(3, 8)

@@ -1,9 +1,12 @@
 """Reference noise system: generation, algebra, orthogonality, serialization."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from noiselogic import (
     AmplitudeOverflowError,
@@ -36,14 +39,31 @@ def test_generation_domain():
 GOLDEN_MASK_DIGESTS = {
     (4, 128, 7): "72d2665194271b32c086e356b2408f85ab814c199ae9710e596255100f7e5592",
     (62, 4096, 2**64 - 1): "9241082845230aff37a5fcef3faac514f1f1acdec2169e33d907be24641904df",
+    # two full generation blocks of 2^15 clocks and a partial third
+    (62, 2**16 + 3, 11): "224478e6c7c75176e3f3f844ca5fb96624c6aec454c6685965318f578b7837fc",
 }
 
 
-@pytest.mark.parametrize("m,t,seed", list(GOLDEN_MASK_DIGESTS), ids=["small", "large"])
+@pytest.mark.parametrize(
+    "m,t,seed", list(GOLDEN_MASK_DIGESTS), ids=["small", "large", "multi-block"]
+)
 def test_generation_golden_digest(m, t, seed):
     masks = generate_reference_system(m, t, seed).negative_masks
     assert masks.dtype == np.uint64 and masks.shape == (t,)
     assert hashlib.sha256(masks.tobytes()).hexdigest() == GOLDEN_MASK_DIGESTS[m, t, seed]
+
+
+def test_generation_temporaries_are_bounded_by_block():
+    t = 2**18
+    tracemalloc.start()
+    try:
+        masks = generate_reference_system(8, t, seed=3).negative_masks
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the masks plus at most eight 2^15-word buffers (2 MiB), where a
+    # whole-window generator holds several T-word temporaries
+    assert peak < masks.nbytes + 8 * 2**15 * 8
 
 
 def test_negative_masks_match_high_signs():
@@ -282,3 +302,106 @@ def test_parsers_reject_out_of_range_amplitudes(amplitude):
         trace_from_csv(f"clock,amplitude\n0,1\n1,{amplitude}\n")
     with pytest.raises(TraceParseError):
         trace_from_json(f'{{"samples": [1, {amplitude}]}}')
+
+
+# -- the CSV reader's grammar -------------------------------------------------
+
+HEADER = "clock,amplitude\n"
+INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
+MALFORMED = "malformed row after the header"
+
+# (text, samples it parses to) or (text, pattern of the TraceParseError)
+CSV_READER_TABLE = {
+    "blank-lines-skipped": ("\n" + HEADER + "\n0,1\n\n1,-2\n\n", [1, -2]),
+    "crlf": ("clock,amplitude\r\n0,1\r\n1,2\r\n", [1, 2]),
+    "cr": ("clock,amplitude\r0,1\r1,2\r", [1, 2]),
+    "no-trailing-newline": (HEADER + "0,1\n1,2", [1, 2]),
+    "spaces-and-plus": (" clock,amplitude \n 0, 1\n+1,+2 \n", [1, 2]),
+    "int64-min": (HEADER + f"0,{INT64_MIN}\n", [INT64_MIN]),
+    "int64-max": (HEADER + f"0,{INT64_MAX}\n", [INT64_MAX]),
+    "comment": (HEADER + "0,1 # x\n", MALFORMED),
+    "comment-line": (HEADER + "# x\n0,1\n", MALFORMED),
+    "quoted-field": (HEADER + '0,"1"\n', MALFORMED),
+    "float-field": (HEADER + "0,1.0\n", MALFORMED),
+    "empty-field": (HEADER + "0,\n", MALFORMED),
+    "exponent-field": (HEADER + "0,1e3\n", MALFORMED),
+    "underscore-digits": (HEADER + "0,1_000\n", MALFORMED),
+    "non-ascii-digit": (HEADER + "0,\u0663\n", MALFORMED),
+    "whitespace-only-line": (HEADER + "0,1\n  \n1,2\n", MALFORMED),
+    "three-columns": (HEADER + "0,1,2\n1,2,3\n", "expected 2 columns"),
+    "one-column": (HEADER + "0\n1\n", "expected 2 columns"),
+    "ragged": (HEADER + "0,1\n1,2,3\n", MALFORMED),
+    "header-only": (HEADER, "no samples"),
+    "header-and-blank-lines": (HEADER + "\n\r\n", "no samples"),
+    "wrong-header": ("clock,amplitude,x\n0,1\n", "expected header"),
+    "wrong-clock": (HEADER + "0,1\n1,1\n5,1\n3,1\n", "row 2: clock column reads 5"),
+    "int64-max-plus-1": (HEADER + f"0,{INT64_MAX + 1}\n", MALFORMED),
+    "int64-min-minus-1": (HEADER + f"0,{INT64_MIN - 1}\n", MALFORMED),
+}
+
+
+@pytest.mark.parametrize(
+    "text,expected", list(CSV_READER_TABLE.values()), ids=list(CSV_READER_TABLE)
+)
+def test_csv_reader_grammar(text, expected):
+    if isinstance(expected, list):
+        assert trace_from_csv(text).samples.tolist() == expected
+    else:
+        with pytest.raises(TraceParseError, match=expected):
+            trace_from_csv(text)
+
+
+def _row_parser(text: str) -> Trace:
+    """Row-by-row reference parser built on ``str.split`` and ``int()``.
+    ``trace_from_csv`` must agree with it on well-formed rows, including
+    amplitudes just outside int64."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines or lines[0].strip() != "clock,amplitude":
+        raise TraceParseError("expected header")
+    samples = []
+    for row, line in enumerate(lines[1:]):
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise TraceParseError(f"row {row}: expected 'clock,amplitude'")
+        try:
+            clock, amplitude = int(parts[0]), int(parts[1])
+        except ValueError as exc:
+            raise TraceParseError(f"row {row}: non-integer field") from exc
+        if clock != row:
+            raise TraceParseError(f"row {row}: clock column reads {clock}")
+        samples.append(amplitude)
+    if not samples:
+        raise TraceParseError("trace has no samples")
+    try:
+        return Trace(np.array(samples, dtype=np.int64))
+    except OverflowError as exc:
+        raise TraceParseError("an amplitude lies outside the int64 range") from exc
+
+
+# int64 values, its edges and the first values past them on either side
+amplitudes = st.one_of(
+    st.integers(min_value=INT64_MIN, max_value=INT64_MAX),
+    st.sampled_from([INT64_MIN, INT64_MAX, INT64_MIN - 1, INT64_MAX + 1, 0, -1, 1]),
+)
+
+
+@given(
+    samples=st.lists(amplitudes, min_size=1, max_size=40),
+    blank_after=st.sets(st.integers(min_value=0, max_value=40)),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    trailing=st.booleans(),
+)
+def test_csv_reader_agrees_with_row_parser(samples, blank_after, newline, trailing):
+    lines = ["clock,amplitude"]
+    for clock, value in enumerate(samples):
+        lines.append(f"{clock},{value}")
+        if clock in blank_after:
+            lines.append("")
+    text = newline.join(lines) + (newline if trailing else "")
+    try:
+        expected = _row_parser(text)
+    except TraceParseError:
+        with pytest.raises(TraceParseError):
+            trace_from_csv(text)
+    else:
+        assert trace_from_csv(text) == expected
