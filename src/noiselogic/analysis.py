@@ -31,6 +31,8 @@ from .reference import INT64_HEADROOM, ReferenceSystem, Trace, max_abs, product_
 MAX_LISTED_CANDIDATES = 1 << 20
 #: Superposition decoding cap (2^M coefficients per round).
 MAX_DECODE_SUPERPOSITION_BITS = 12
+#: Correlate-round-verify rounds before superposition decoding gives up.
+_DECODE_ROUNDS = 32
 
 
 def decode_product(sys: ReferenceSystem, x: Trace) -> BitString:
@@ -85,14 +87,16 @@ def decode_product(sys: ReferenceSystem, x: Trace) -> BitString:
         )
     # Each pivot bit depends only on higher bits, so the highest bit in
     # which two solutions differ is free: counting through the free bits
-    # in binary enumerates the masks in ascending order.
+    # in binary enumerates the masks in ascending order. Bit reversal
+    # commutes with XOR, so the candidates' MSB-first values combine the
+    # same way and at most M+1 masks are converted.
     homogeneous = {low: (row, 0) for low, (row, _) in basis.items()}
-    masks = [_back_substitute(basis, 0)]
+    values = [ProductTerm(sys.m, _back_substitute(basis, 0)).value()]
     for bit in range(sys.m):
         if 1 << bit not in basis:
-            step = _back_substitute(homogeneous, 1 << bit)
-            masks += [m ^ step for m in masks]
-    found = [BitString(sys.m, ProductTerm(sys.m, m).value()) for m in masks]
+            step = ProductTerm(sys.m, _back_substitute(homogeneous, 1 << bit)).value()
+            values += [v ^ step for v in values]
+    found = [BitString(sys.m, v) for v in values]
     raise AmbiguousDecodeError(message, candidates=found)
 
 
@@ -121,9 +125,7 @@ def _walsh(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def decode_superposition(
-    sys: ReferenceSystem, y: Trace, *, max_rounds: int = 32
-) -> SymbolicSuperposition:
+def decode_superposition(sys: ReferenceSystem, y: Trace) -> SymbolicSuperposition:
     """Solve ``y`` as an integer combination of all 2^M basis vectors.
 
     Greedy exact matching: correlate the residual against every basis
@@ -152,7 +154,7 @@ def decode_superposition(
     words = sys.negative_masks.astype(np.intp)
     coeffs = np.zeros(1 << sys.m, dtype=np.int64)
     residual = y.samples
-    for _ in range(max_rounds):
+    for _ in range(_DECODE_ROUNDS):
         if not residual.any():
             break
         bound = sys.t * max(int(residual.max()), -int(residual.min()))
@@ -179,7 +181,7 @@ def decode_superposition(
         residual = y.samples - _walsh(coeffs)[words]
     if residual.any():
         raise SuperpositionDecodeError(
-            f"verification residual still nonzero after {max_rounds} rounds"
+            f"verification residual still nonzero after {_DECODE_ROUNDS} rounds"
         )
     return SymbolicSuperposition(sys.m, dict(enumerate(coeffs.tolist())))
 

@@ -32,7 +32,7 @@ from .gates import (
     xor_pair,
     xor_targeted,
 )
-from .hyperspace import BitString, realize, synthesize, universe
+from .hyperspace import BitString, realize, superpose, synthesize, universe
 from .oracle import ProductTerm, SymbolicSuperposition
 from .reference import (
     MAX_NOISE_BITS,
@@ -85,7 +85,7 @@ def _write(args, trace, name: str) -> None:
     print(f"wrote {path}")
 
 
-def _parse_operand(expr: str, width: int | None) -> list[tuple[int, str]]:
+def _parse_operand(expr: str) -> list[tuple[int, str]]:
     """Split ``k*s1+s2+...`` into (multiplicity, literal) entries."""
     entries = []
     for part in expr.split("+"):
@@ -108,9 +108,8 @@ def _infer_width(operands: list[list[tuple[int, str]]], m: int | None) -> int:
     widths = {m} if m is not None else set()
     for entries in operands:
         for _, literal in entries:
-            if literal and all(c in "01" for c in literal) and not literal.startswith("0b"):
+            if literal and all(c in "01" for c in literal):
                 widths.add(len(literal))
-    widths.discard(None)
     if not widths:
         raise UsageError("cannot infer bit width; pass --m or use binary literals")
     if len(widths) > 1:
@@ -126,17 +125,12 @@ def _operand_superposition(entries: list[tuple[int, str]], width: int) -> Symbol
     return SymbolicSuperposition.from_terms(width, terms)
 
 
-def _parse_targets(text: str, m: int) -> list[int]:
+def _parse_targets(text: str) -> list[int]:
+    """Comma-separated noise-bits; ``apply_not`` refuses an empty or out-of-range set."""
     try:
-        targets = sorted({int(p) for p in text.split(",") if p.strip()})
+        return sorted({int(p) for p in text.split(",") if p.strip()})
     except ValueError:
         raise UsageError(f"--targets expects comma-separated integers, got {text!r}")
-    if not targets:
-        raise UsageError("--targets must name at least one noise-bit")
-    bad = [i for i in targets if not 1 <= i <= m]
-    if bad:
-        raise UsageError(f"target bits {bad} outside 1..{m}")
-    return targets
 
 
 # --- subcommands -------------------------------------------------------------
@@ -152,22 +146,18 @@ def cmd_refs(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    operands = [_parse_operand(s, args.m) for s in args.strings]
+    operands = [_parse_operand(s) for s in args.strings]
     width = _infer_width(operands, args.m)
+    # every operand is checked before the first file is written
+    if any(len(entries) != 1 or entries[0][0] != 1 for entries in operands):
+        raise UsageError("synth takes plain bit strings; use --superpose for sums")
+    strings = [BitString.parse(entries[0][1], width) for entries in operands]
     sys = generate_reference_system(width, args.t, _resolve_seed(args.seed))
-    traces = []
-    for entries in operands:
-        if len(entries) != 1 or entries[0][0] != 1:
-            raise UsageError("synth takes plain bit strings; use --superpose for sums")
-        s = BitString.parse(entries[0][1], width)
-        trace = synthesize(sys, s)
-        traces.append(trace)
+    traces = [synthesize(sys, s) for s in strings]
+    for s, trace in zip(strings, traces):
         _write(args, trace, f"synth_{s.text}")
     if args.superpose:
-        total = traces[0]
-        for tr in traces[1:]:
-            total = total + tr
-        _write(args, total.with_label("superposition"), "superposition")
+        _write(args, superpose(traces).with_label("superposition"), "superposition")
     return 0
 
 
@@ -185,14 +175,16 @@ def cmd_universe(args) -> int:
     return 0
 
 
-def _gate_prediction(args, state: SymbolicSuperposition, width: int):
+def _gate_prediction(
+    args, state: SymbolicSuperposition, b_entries: list[tuple[int, str]] | None, width: int
+):
     """Numeric output and symbolic prediction for one gate invocation."""
     kind = args.kind
     sys = generate_reference_system(width, args.t, _resolve_seed(args.seed))
     x = realize(sys, state)
 
     if kind == "not":
-        targets = _parse_targets(args.targets, width)
+        targets = _parse_targets(args.targets)
         out = apply_not(sys, targets, x)
         predicted = state * ProductTerm.from_indices(width, targets)
         return sys, out, predicted
@@ -202,8 +194,6 @@ def _gate_prediction(args, state: SymbolicSuperposition, width: int):
         i, p = args.target, args.value
         if p is None:
             raise UsageError("--target requires --value 0|1")
-        if not 1 <= i <= width:
-            raise UsageError(f"--target {i} outside 1..{width}")
         value_term = (
             ProductTerm.from_indices(width, [i]) if p == 1 else ProductTerm.zeros(width)
         )
@@ -215,9 +205,9 @@ def _gate_prediction(args, state: SymbolicSuperposition, width: int):
             predicted = state * value_term * ProductTerm.from_indices(width, [i])
         return sys, out, predicted
 
-    if args.b is None:
+    if b_entries is None:
         raise UsageError(f"gate {kind} needs --b, or --target/--value for targeted form")
-    other = _operand_superposition(_parse_operand(args.b, width), width)
+    other = _operand_superposition(b_entries, width)
     xb = realize(sys, other)
     if len(state) > 1 and len(other) > 1:
         print("note: superposition-by-superposition product; outside tabulated gate semantics")
@@ -235,13 +225,13 @@ def cmd_gate(args) -> int:
     if a_expr is None:
         flag = "--input" if args.kind == "not" else "--a"
         raise UsageError(f"gate {args.kind} needs {flag}")
-    operand_entries = [_parse_operand(a_expr, args.m)]
-    if args.kind != "not" and args.b is not None:
-        operand_entries.append(_parse_operand(args.b, args.m))
-    width = _infer_width(operand_entries, args.m)
-    state = _operand_superposition(operand_entries[0], width)
+    a_entries = _parse_operand(a_expr)
+    b_entries = None if args.kind == "not" or args.b is None else _parse_operand(args.b)
+    operands = [a_entries] if b_entries is None else [a_entries, b_entries]
+    width = _infer_width(operands, args.m)
+    state = _operand_superposition(a_entries, width)
 
-    sys, out, predicted = _gate_prediction(args, state, width)
+    sys, out, predicted = _gate_prediction(args, state, b_entries, width)
     _write(args, out.with_label(f"gate_{args.kind}"), f"gate_{args.kind}")
 
     decoded = None

@@ -9,6 +9,7 @@ form, one comparison per clock instead of a 2^M-term sum.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,13 +18,8 @@ from .errors import DimensionError, LengthMismatchError, WidthMismatchError
 from .oracle import ProductTerm, SymbolicSuperposition
 from .reference import ReferenceSystem, Trace, check_headroom, max_abs, product_signs
 
-
-def _parse_int(text: str, base: int) -> int:
-    # "0b12", a bare "0b" and digits int() refuses (such as "²") end here
-    try:
-        return int(text, base)
-    except ValueError:
-        raise WidthMismatchError(f"cannot parse bit string {text!r}") from None
+#: CLI literal forms, ASCII only: plain 0/1, ``0b``-prefixed binary, decimal.
+_LITERAL = re.compile(r"([01]+)|0[bB]([01]+)|([0-9]+)")
 
 
 @dataclass(frozen=True)
@@ -34,43 +30,35 @@ class BitString:
     value: int
 
     def __post_init__(self):
-        if self.width < 1:
-            raise WidthMismatchError("width must be at least 1")
-        if not 0 <= self.value < (1 << self.width):
-            raise WidthMismatchError(
-                f"value {self.value} does not fit in {self.width} bits"
-            )
+        self.to_term()  # refuses a width below 1 or a value that does not fit
 
     @classmethod
     def from_text(cls, text: str) -> "BitString":
-        if not text or any(c not in "01" for c in text):
-            raise WidthMismatchError(f"not a bit string: {text!r}")
-        return cls(len(text), int(text, 2))
+        term = ProductTerm.from_text(text)
+        return cls(term.width, term.value())
 
     @classmethod
     def parse(cls, text: str, width: int | None = None) -> "BitString":
         """Parse a CLI-style literal.
 
         Plain 0/1 strings are binary literals carrying their own width.
-        ``0b``-prefixed or decimal forms need an explicit width.
+        ``0b``-prefixed or decimal forms need an explicit width. Digits are
+        ASCII only, with no ``_`` separators.
         """
         text = text.strip()
-        if text.startswith(("0b", "0B")):
-            if width is None:
-                raise WidthMismatchError(f"{text!r} needs an explicit width")
-            return cls(width, _parse_int(text, 2))
-        if text and all(c in "01" for c in text):
-            s = cls.from_text(text)
-            if width is not None and s.width != width:
+        match = _LITERAL.fullmatch(text)
+        if match is None:
+            raise WidthMismatchError(f"cannot parse bit string {text!r}")
+        plain, binary, decimal = match.groups()
+        if plain is not None:
+            if width is not None and len(plain) != width:
                 raise WidthMismatchError(
-                    f"literal {text!r} has width {s.width}, expected {width}"
+                    f"literal {text!r} has width {len(plain)}, expected {width}"
                 )
-            return s
-        if text.isdigit():
-            if width is None:
-                raise WidthMismatchError(f"decimal {text!r} needs an explicit width")
-            return cls(width, _parse_int(text, 10))
-        raise WidthMismatchError(f"cannot parse bit string {text!r}")
+            return cls.from_text(plain)
+        if width is None:
+            raise WidthMismatchError(f"{text!r} needs an explicit width")
+        return cls(width, int(binary, 2) if binary is not None else int(decimal))
 
     @property
     def bits(self) -> tuple[int, ...]:
@@ -83,7 +71,7 @@ class BitString:
 
     @property
     def high_indices(self) -> frozenset[int]:
-        return frozenset(i for i, b in enumerate(self.bits, start=1) if b)
+        return self.to_term().indices
 
     def to_term(self) -> ProductTerm:
         return ProductTerm.from_value(self.width, self.value)
@@ -120,8 +108,6 @@ def synthesize(sys: ReferenceSystem, s: "BitString | str") -> Trace:
     """
     if isinstance(s, str):
         s = BitString.from_text(s)
-    if s.width != sys.m:
-        raise WidthMismatchError(f"bit string width {s.width} != system width {sys.m}")
     return product_trace(sys, s.to_term())
 
 

@@ -83,7 +83,9 @@ class ProductTerm:
         _check_width(width)
         if not 0 <= value < (1 << width):
             raise WidthMismatchError(f"value {value} does not fit in {width} bits")
-        return cls.from_text(format(value, f"0{width}b"))
+        # the reversed MSB-first digits are the mask's binary, as in from_text;
+        # BitString validates through here, so its digits are not checked twice
+        return cls(width, int(format(value, f"0{width}b")[::-1], 2))
 
     @property
     def indices(self) -> frozenset[int]:
@@ -149,13 +151,7 @@ class SymbolicSuperposition:
         """Superposition of the given terms, each with coefficient 1."""
         if not terms:
             raise ValueError("need at least one term; use zero(width) for the empty sum")
-        width = terms[0].width
-        acc: dict[int, int] = {}
-        for term in terms:
-            if term.width != width:
-                raise WidthMismatchError("mixed-width terms in superposition")
-            acc[term.mask] = acc.get(term.mask, 0) + 1
-        return cls(width, acc)
+        return cls.from_terms(terms[0].width, ((term, 1) for term in terms))
 
     @classmethod
     def from_terms(
@@ -209,15 +205,11 @@ class SymbolicSuperposition:
     def __add__(self, other):
         if isinstance(other, SymbolicSuperposition):
             return self._combine(other, +1)
-        if isinstance(other, ProductTerm):
-            return self._combine(SymbolicSuperposition.of(other), +1)
         return NotImplemented
 
     def __sub__(self, other):
         if isinstance(other, SymbolicSuperposition):
             return self._combine(other, -1)
-        if isinstance(other, ProductTerm):
-            return self._combine(SymbolicSuperposition.of(other), -1)
         return NotImplemented
 
     def __neg__(self):
@@ -286,7 +278,7 @@ class SymbolicSuperposition:
             return "0"
         return " + ".join(f"{c}*[{term.text()}]" for term, c in items)
 
-    _TERM_RE = re.compile(r"^(-?\d+)\*\[([01]+)\]$")
+    _TERM_RE = re.compile(r"^(-?[0-9]+)\*\[([01]+)\]$")
 
     @classmethod
     def parse(cls, text: str, width: int | None = None) -> "SymbolicSuperposition":

@@ -54,10 +54,9 @@ class Trace:
     label: str | None = None
 
     def __post_init__(self):
-        arr = np.asarray(self.samples, dtype=np.int64)
+        arr = np.array(self.samples, dtype=np.int64)  # always a private copy
         if arr.ndim != 1 or arr.size < 1:
             raise DimensionError("a trace needs a one-dimensional, non-empty sample array")
-        arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
 
@@ -343,13 +342,6 @@ CSV_HEADER = "clock,amplitude"
 _CSV_HEAD = re.compile(rf"\s*{re.escape(CSV_HEADER)}[^\S\r\n]*(?:\r\n|\r|\n|\Z)")
 
 
-def _parsed_samples(samples: list[int]) -> np.ndarray:
-    try:
-        return np.array(samples, dtype=np.int64)
-    except OverflowError as exc:
-        raise TraceParseError("an amplitude lies outside the int64 range") from exc
-
-
 def trace_to_csv(trace: Trace) -> str:
     """CSV form: header ``clock,amplitude``, one row per clock from 0."""
     lines = [CSV_HEADER]
@@ -418,7 +410,12 @@ def trace_from_json(text: str) -> Trace:
     label = payload.get("label")
     if label is not None and not isinstance(label, str):
         raise TraceParseError("'label' must be a string or null")
-    trace = Trace(_parsed_samples(samples), label)
+    try:
+        trace = Trace(samples, label)
+    except OverflowError as exc:
+        raise TraceParseError("an amplitude lies outside the int64 range") from exc
+    except DimensionError as exc:  # the only list of ints it refuses is []
+        raise TraceParseError("trace has no samples") from exc
     if "T" in payload and (type(payload["T"]) is not int or payload["T"] != trace.t):
         raise TraceParseError(f"declared T={payload['T']!r} but {trace.t} samples present")
     return trace

@@ -12,6 +12,7 @@ from noiselogic import (
     realize,
     synthesize,
     universe,
+    write_trace,
 )
 from noiselogic.cli import main
 
@@ -97,6 +98,13 @@ class TestSynth:
         code, _, _ = run(capsys, "synth", "12", "--m", 4, "--out", tmp_path)
         assert code == 0
         assert (tmp_path / "synth_1100.csv").exists()
+
+    @pytest.mark.parametrize("bad", ["2*1010", "1010+0001", "0b12"])
+    def test_refuses_before_writing(self, tmp_path, capsys, bad):
+        code, _, err = run(capsys, "synth", "1100", bad, "--superpose", "--out", tmp_path)
+        assert code == 2
+        assert err.startswith("error:")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestUniverse:
@@ -209,7 +217,7 @@ class TestGate:
         assert "Traceback" not in err
         assert not (tmp_path / "gate_xor.csv").exists()
 
-    @pytest.mark.parametrize("literal", ["0b12", "0b", "²"])
+    @pytest.mark.parametrize("literal", ["0b12", "0b", "²", "٣", "0b1_0"])
     def test_malformed_literal_exits_2(self, tmp_path, capsys, literal):
         code, _, err = run(
             capsys, "gate", "not", "--input", literal, "--m", 4, "--targets", 1,
@@ -319,11 +327,57 @@ class TestCompare:
         assert err.startswith("parse error:") and name in err
         assert "Traceback" not in err
 
+    def test_empty_json_trace_is_parse_failure(self, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        path.write_text('{"samples": []}\n')
+        code, _, err = run(capsys, "compare", path, path)
+        assert code == 4
+        assert err.startswith("parse error:")
+
     def test_parse_failure(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("not,a,trace\n")
         code, _, _ = run(capsys, "compare", bad, bad)
         assert code == 4
+
+
+# command line (``{dir}`` is the test's directory), exit code, and a fragment
+# of the message; every exit 2 is an ``error:`` line and no path prints a traceback
+ERROR_PATH_TABLE = {
+    "targeted-xnor-p1": ("gate xnor --a 1100 --target 2 --value 1", 0, "oracle: 1*[1100]"),
+    "targeted-xnor-p0": ("gate xnor --a 1100 --target 2 --value 0", 0, "oracle: 1*[1000]"),
+    "target-without-value": ("gate xor --a 1100 --target 2", 2, "--target requires --value"),
+    "target-above-m-p1": ("gate xor --a 1100 --target 5 --value 1", 2, "outside 1..4"),
+    "target-above-m-p0": ("gate xnor --a 1100 --target 5 --value 0", 2, "outside 1..4"),
+    "target-zero": ("gate xor --a 1100 --target 0 --value 0", 2, "outside 1..4"),
+    "targets-above-m": ("gate not --input 1100 --targets 1,5", 2, "outside 1..4"),
+    "targets-zero": ("gate not --input 1100 --targets 0", 2, "outside 1..4"),
+    "targets-empty": ("gate not --input 1100 --targets ,", 2, "must not be empty"),
+    "targets-not-integer": ("gate not --input 1100 --targets 1,x", 2, "comma-separated integers"),
+    "bad-multiplicity": ("gate xor --a x*1100 --b 1000", 2, "bad multiplicity"),
+    "empty-term": ("gate xor --a 1100+ --b 1000", 2, "empty term"),
+    "compare-lengths-differ": (
+        "compare {dir}/short.csv {dir}/long.csv", 3, "lengths differ: 64 != 128"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "line,code,message", list(ERROR_PATH_TABLE.values()), ids=list(ERROR_PATH_TABLE)
+)
+def test_error_paths(tmp_path, capsys, line, code, message):
+    write_trace(generate_reference_system(4, 128, seed=1).high(1), tmp_path / "long.csv")
+    write_trace(generate_reference_system(4, 64, seed=1).high(1), tmp_path / "short.csv")
+    argv = [a.format(dir=tmp_path) for a in line.split()]
+    if argv[0] == "gate":
+        argv += ["--out", tmp_path / "out"]
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    assert message in out + err
+    assert "Traceback" not in out + err
+    if code == 2:
+        assert err.startswith("error:")
+        assert not (tmp_path / "out").exists()
 
 
 class TestSeedHandling:

@@ -51,9 +51,9 @@ class TestBitString:
         with pytest.raises(WidthMismatchError):
             BitString.parse("1100", width=5)
 
-    @pytest.mark.parametrize("text", ["0b12", "0b", "0B", "0bx1", "²", "1²"])
+    @pytest.mark.parametrize("text", ["0b12", "0b", "0B", "0bx1", "²", "1²", "٣", "0b1_0"])
     def test_parse_rejects_malformed_literals(self, text):
-        # "0b..." and str.isdigit() forms reach int(), which refuses these
+        # the grammar is ASCII only: int() would accept "٣" (an Arabic-Indic 3) and "0b1_0"
         with pytest.raises(WidthMismatchError, match="cannot parse bit string"):
             BitString.parse(text, width=4)
 

@@ -222,3 +222,5 @@ class TestTextFormat:
             SymbolicSuperposition.parse("nonsense")
         with pytest.raises(WidthMismatchError):
             SymbolicSuperposition.parse("1*[01] + 1*[011]")
+        with pytest.raises(ValueError, match="cannot parse superposition term"):
+            SymbolicSuperposition.parse("٣*[01]")  # int() reads the Arabic-Indic 3

@@ -289,6 +289,8 @@ def test_csv_parse_failures(text):
         '{"T": true, "samples": [5]}',  # T must be an integer, not True == 1
         '{"T": 1.0, "samples": [5]}',
         '{"T": "1", "samples": [5]}',
+        '{"samples": []}',  # a trace needs at least one sample
+        '{"T": 0, "samples": []}',
     ],
 )
 def test_json_parse_failures(text):
