@@ -32,7 +32,7 @@ from .gates import (
     xor_pair,
     xor_targeted,
 )
-from .hyperspace import BitString, realize, superpose, synthesize, universe
+from .hyperspace import _LITERAL, BitString, realize, superpose, synthesize, universe
 from .oracle import ProductTerm, SymbolicSuperposition
 from .reference import (
     MAX_NOISE_BITS,
@@ -108,7 +108,8 @@ def _infer_width(operands: list[list[tuple[int, str]]], m: int | None) -> int:
     widths = {m} if m is not None else set()
     for entries in operands:
         for _, literal in entries:
-            if literal and all(c in "01" for c in literal):
+            match = _LITERAL.fullmatch(literal)
+            if match is not None and match[1] is not None:  # a plain 0/1 literal
                 widths.add(len(literal))
     if not widths:
         raise UsageError("cannot infer bit width; pass --m or use binary literals")
@@ -192,8 +193,6 @@ def _gate_prediction(
     if args.target is not None:
         # targeted XOR/XNOR against a single noise-bit value
         i, p = args.target, args.value
-        if p is None:
-            raise UsageError("--target requires --value 0|1")
         value_term = (
             ProductTerm.from_indices(width, [i]) if p == 1 else ProductTerm.zeros(width)
         )
@@ -205,8 +204,6 @@ def _gate_prediction(
             predicted = state * value_term * ProductTerm.from_indices(width, [i])
         return sys, out, predicted
 
-    if b_entries is None:
-        raise UsageError(f"gate {kind} needs --b, or --target/--value for targeted form")
     other = _operand_superposition(b_entries, width)
     xb = realize(sys, other)
     if len(state) > 1 and len(other) > 1:
@@ -220,13 +217,39 @@ def _gate_prediction(
     return sys, out, predicted
 
 
+#: The flags of the NOT form and of the pairwise or targeted XOR/XNOR forms.
+_NOT_FLAGS = ("input", "targets")
+_XOR_FLAGS = ("a", "b", "target", "value")
+
+
+def _check_gate_flags(args) -> None:
+    """Refuse flags that belong to another gate form instead of ignoring them."""
+    other = _XOR_FLAGS if args.kind == "not" else _NOT_FLAGS
+    foreign = [f"--{name}" for name in other if getattr(args, name) is not None]
+    if foreign:
+        raise UsageError(f"gate {args.kind} does not take {', '.join(foreign)}")
+    if args.kind == "not":
+        if args.input is None:
+            raise UsageError("gate not needs --input")
+        if not args.targets:
+            raise UsageError("gate not needs --targets")
+        return
+    if args.a is None:
+        raise UsageError(f"gate {args.kind} needs --a")
+    if args.b is not None and (args.target is not None or args.value is not None):
+        raise UsageError("--b (pairwise form) cannot be combined with --target or --value")
+    if args.value is not None and args.target is None:
+        raise UsageError("--value requires --target")
+    if args.target is not None and args.value is None:
+        raise UsageError("--target requires --value 0|1")
+    if args.b is None and args.target is None:
+        raise UsageError(f"gate {args.kind} needs --b, or --target/--value for targeted form")
+
+
 def cmd_gate(args) -> int:
-    a_expr = args.input if args.kind == "not" else args.a
-    if a_expr is None:
-        flag = "--input" if args.kind == "not" else "--a"
-        raise UsageError(f"gate {args.kind} needs {flag}")
-    a_entries = _parse_operand(a_expr)
-    b_entries = None if args.kind == "not" or args.b is None else _parse_operand(args.b)
+    _check_gate_flags(args)
+    a_entries = _parse_operand(args.input if args.kind == "not" else args.a)
+    b_entries = None if args.b is None else _parse_operand(args.b)
     operands = [a_entries] if b_entries is None else [a_entries, b_entries]
     width = _infer_width(operands, args.m)
     state = _operand_superposition(a_entries, width)
@@ -329,8 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "gate" and args.kind == "not" and not args.targets:
-            raise UsageError("gate not needs --targets")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=_sys.stderr)

@@ -149,16 +149,23 @@ def multiply_traces(a: Trace, b: Trace) -> Trace:
     return Trace(a.samples * b.samples)
 
 
-def _mix64(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer, applied to ``x`` in place; ``scratch`` is
-    a same-shape buffer. Wraparound is the point, so callers silence
-    overflow."""
+def _mix64_top(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer up to its last step, applied to ``x`` in
+    place; ``scratch`` is a same-shape buffer. The last step,
+    ``x ^= x >> 31``, leaves bit 63 as it is, so bit 63 is already final.
+    Wraparound is the point, so callers silence overflow."""
     np.right_shift(x, _U64(30), out=scratch)
     x ^= scratch
     x *= _MIX_C1
     np.right_shift(x, _U64(27), out=scratch)
     x ^= scratch
     x *= _MIX_C2
+    return x
+
+
+def _mix64(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer, applied to ``x`` in place (see _mix64_top)."""
+    _mix64_top(x, scratch)
     np.right_shift(x, _U64(31), out=scratch)
     x ^= scratch
     return x
@@ -181,12 +188,14 @@ def _negative_masks(seed: int, m: int, t: int) -> np.ndarray:
     Sample (index, clock) = f(seed, index, clock) is +1 iff the top bit of
     its splitmix64 word is 1; bit (index-1) of word clock-1 is set iff the
     sample is -1. The words are mixed one block of clocks at a time, so the
-    temporaries stay O(_GENERATION_BLOCK) whatever T is.
+    temporaries stay O(_GENERATION_BLOCK) whatever T is. Only bit 63 of
+    each word is computed, and the M top bits are inverted together.
     """
     masks = np.zeros(t, dtype=np.uint64)
     width = min(t, _GENERATION_BLOCK)
     words = np.empty(width, dtype=np.uint64)
     scratch = np.empty(width, dtype=np.uint64)
+    all_bits = _U64((1 << m) - 1)
     with np.errstate(over="ignore"):
         keys = _U64(seed & 0xFFFFFFFFFFFFFFFF) + np.arange(1, m + 1, dtype=np.uint64) * _GAMMA
         _mix64(keys, np.empty(m, dtype=np.uint64))
@@ -195,11 +204,11 @@ def _negative_masks(seed: int, m: int, t: int) -> np.ndarray:
             n = block.size
             clocks = np.arange(start + 1, start + n + 1, dtype=np.uint64) * _GAMMA
             for bit, key in enumerate(keys):
-                word = _mix64(np.add(clocks, key, out=words[:n]), scratch[:n])
-                np.invert(word, out=word)
+                word = _mix64_top(np.add(clocks, key, out=words[:n]), scratch[:n])
                 word >>= _U64(63)
                 word <<= _U64(bit)
                 block |= word
+            block ^= all_bits  # bit set = top bit 0 = sample -1
     masks.flags.writeable = False
     return masks
 
@@ -342,12 +351,99 @@ CSV_HEADER = "clock,amplitude"
 _CSV_HEAD = re.compile(rf"\s*{re.escape(CSV_HEADER)}[^\S\r\n]*(?:\r\n|\r|\n|\Z)")
 
 
+_TEN = _U64(10)
+_ASCII_ZERO = _U64(ord("0"))
+#: Rows the decimal writer formats per pass; its uint64 temporaries
+#: (128 KiB each) stay in cache.
+_TEXT_BLOCK = 1 << 14
+
+
+def _write_digits(cols: np.ndarray, mag: np.ndarray) -> None:
+    """Write each uint64 of ``mag`` as right-aligned ASCII digits into the
+    rows of the uint8 view ``cols``, whose width fits the longest; cells
+    left of a number stay NUL. ``mag`` is consumed.
+
+    A column is written densely while at least half the rows still have
+    digits left, and after that only for those rows, so a trace of a few
+    wide values among many short ones costs about two dense passes.
+    """
+    n = mag.size
+    quot = np.empty_like(mag)
+    digit = np.empty_like(mag)
+    offset = np.empty_like(mag)
+    col = cols.shape[1] - 1
+    ascii_offset = _ASCII_ZERO  # the units digit is written even for 0
+    while True:
+        np.floor_divide(mag, _TEN, out=quot)
+        np.multiply(quot, _TEN, out=digit)
+        np.subtract(mag, digit, out=digit)
+        digit += ascii_offset
+        cols[:, col] = digit
+        mag, quot = quot, mag
+        col -= 1
+        if 2 * np.count_nonzero(mag) < n:
+            break
+        # a value with no digits left has digit 0 and offset 0: its cell stays NUL
+        ascii_offset = np.minimum(mag, 1, out=offset)
+        ascii_offset *= _ASCII_ZERO
+    rows = np.flatnonzero(mag)
+    mag = mag[rows]
+    while rows.size:
+        quot = mag // _TEN
+        cols[rows, col] = mag - quot * _TEN + _ASCII_ZERO
+        keep = quot != 0
+        rows, mag = rows[keep], quot[keep]
+        col -= 1
+
+
+def _decimal_rows(*fields: np.ndarray | bytes) -> str:
+    """One line of text per row: each field is an int64 column, written in
+    decimal, or a separator repeated on every row.
+
+    All rows are laid out in one uint8 matrix: a number column is as wide
+    as its longest value, plus a column for ``-`` when any value is
+    negative, and shorter values are padded with NUL, which is deleted
+    at the end. The output equals ``str`` of every value, byte for byte.
+    Rows are filled one block at a time, so the digit loop's temporaries
+    stay in cache.
+    """
+    n = next(f.size for f in fields if isinstance(f, np.ndarray))
+    layout = []  # (field, first column, end column, signed)
+    width = 0
+    for field in fields:
+        start, signed = width, False
+        if isinstance(field, bytes):
+            width += len(field)
+        else:
+            low, high = int(field.min()), int(field.max())
+            signed = low < 0
+            width += signed + len(str(max(high, -low)))
+        layout.append((field, start, width, signed))
+    table = np.zeros((n, width), dtype=np.uint8)
+    for first in range(0, n, _TEXT_BLOCK):
+        rows = table[first : first + _TEXT_BLOCK]
+        for field, start, end, signed in layout:
+            if isinstance(field, bytes):
+                rows[:, start:end] = np.frombuffer(field, dtype=np.uint8)
+                continue
+            values = field[first : first + _TEXT_BLOCK]
+            # |v| = (v ^ s) - s with s = v >> 63 (0, or all ones when v < 0),
+            # exact in uint64 for every int64, -2^63 included
+            sign = (values >> 63).view(np.uint64)
+            mag = values.view(np.uint64) ^ sign
+            mag -= sign
+            if signed:
+                rows[:, start] = sign & _U64(ord("-"))
+                start += 1
+            _write_digits(rows[:, start:end], mag)
+    return table.tobytes().translate(None, b"\0").decode("ascii")
+
+
 def trace_to_csv(trace: Trace) -> str:
-    """CSV form: header ``clock,amplitude``, one row per clock from 0."""
-    lines = [CSV_HEADER]
-    lines.extend(f"{t},{v}" for t, v in enumerate(trace.samples.tolist()))
-    lines.append("")  # the trailing newline, without copying the joined text
-    return "\n".join(lines)
+    """CSV form: header ``clock,amplitude``, one row ``clock,amplitude``
+    per clock from 0, every line ended by LF."""
+    clocks = np.arange(trace.t, dtype=np.int64)
+    return f"{CSV_HEADER}\n" + _decimal_rows(clocks, b",", trace.samples, b"\n")
 
 
 def trace_from_csv(text: str) -> Trace:
@@ -387,13 +483,11 @@ def trace_from_csv(text: str) -> Trace:
 
 
 def trace_to_json(trace: Trace) -> str:
-    """JSON form ``{"T": n, "label": str|null, "samples": [int...]}``."""
-    payload = {
-        "T": trace.t,
-        "label": trace.label,
-        "samples": trace.samples.tolist(),
-    }
-    return json.dumps(payload) + "\n"
+    """JSON form ``{"T": n, "label": str|null, "samples": [int...]}``, as
+    ``json.dumps`` writes it with its default separators, plus a LF."""
+    head = json.dumps({"T": trace.t, "label": trace.label})[:-1]
+    samples = _decimal_rows(trace.samples, b", ")[:-2]
+    return f'{head}, "samples": [{samples}]}}\n'
 
 
 def trace_from_json(text: str) -> Trace:
@@ -404,8 +498,8 @@ def trace_from_json(text: str) -> Trace:
     if not isinstance(payload, dict) or "samples" not in payload:
         raise TraceParseError("expected an object with a 'samples' array")
     samples = payload["samples"]
-    # type(v) is int: JSON true/false load as bool, a subclass of int
-    if not isinstance(samples, list) or not all(type(v) is int for v in samples):
+    # exact types: JSON true/false load as bool, a subclass of int
+    if not isinstance(samples, list) or not set(map(type, samples)) <= {int}:
         raise TraceParseError("'samples' must be an array of integers")
     label = payload.get("label")
     if label is not None and not isinstance(label, str):

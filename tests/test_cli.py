@@ -356,6 +356,15 @@ ERROR_PATH_TABLE = {
     "targets-not-integer": ("gate not --input 1100 --targets 1,x", 2, "comma-separated integers"),
     "bad-multiplicity": ("gate xor --a x*1100 --b 1000", 2, "bad multiplicity"),
     "empty-term": ("gate xor --a 1100+ --b 1000", 2, "empty term"),
+    "b-with-targeted-form": (
+        "gate xor --a 1100 --target 2 --value 1 --b 0b12", 2, "cannot be combined"
+    ),
+    "b-with-value": ("gate xor --a 1100 --b 1010 --value 1", 2, "cannot be combined"),
+    "b-on-not": ("gate not --input 1100 --targets 1 --b 0b12", 2, "does not take --b"),
+    "value-without-target": ("gate xnor --a 1100 --value 0", 2, "--value requires --target"),
+    "target-on-not": ("gate not --input 1100 --targets 1 --target 2", 2, "does not take"),
+    "targets-on-xor": ("gate xor --a 1100 --b 1010 --targets 1", 2, "does not take --targets"),
+    "input-on-xnor": ("gate xnor --a 1100 --b 1010 --input 1000", 2, "does not take --input"),
     "compare-lengths-differ": (
         "compare {dir}/short.csv {dir}/long.csv", 3, "lengths differ: 64 != 128"
     ),

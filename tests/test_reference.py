@@ -1,11 +1,12 @@
 """Reference noise system: generation, algebra, orthogonality, serialization."""
 
 import hashlib
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noiselogic import (
@@ -260,6 +261,100 @@ def test_csv_format_shape():
     assert text == "clock,amplitude\n0,1\n1,1\n"
 
 
+# -- the writers against per-row references -----------------------------------
+
+INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
+
+
+def _row_writer_csv(trace: Trace) -> str:
+    """Per-row reference CSV writer: an f-string per clock."""
+    lines = ["clock,amplitude"]
+    lines.extend(f"{t},{v}" for t, v in enumerate(trace.samples.tolist()))
+    lines.append("")
+    return "\n".join(lines)
+
+
+def _row_writer_json(trace: Trace) -> str:
+    """Per-row reference JSON writer: ``json.dumps`` of the whole payload."""
+    payload = {"T": trace.t, "label": trace.label, "samples": trace.samples.tolist()}
+    return json.dumps(payload) + "\n"
+
+
+# the int64 edges and both sides of every power of ten in between
+DECIMAL_EDGES = [INT64_MIN, INT64_MAX, 0] + [
+    sign * (10**k + d) for k in range(1, 19) for d in (-1, 0) for sign in (1, -1)
+]
+in_range = st.one_of(
+    st.sampled_from(DECIMAL_EDGES),
+    st.integers(min_value=-20, max_value=20),
+    st.integers(min_value=INT64_MIN, max_value=INT64_MAX),
+)
+labels = st.one_of(
+    st.none(),
+    st.text(max_size=12),
+    st.sampled_from(['"quoted"', "back\\slash", "two\nlines", "ünïcødé €", "\U0001f600", ""]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    values=st.lists(in_range, min_size=1, max_size=30),
+    # clock columns that cross 10, 100 and 10^5 rows
+    t=st.one_of(
+        st.integers(min_value=1, max_value=120),
+        st.sampled_from([9, 10, 11, 99, 100, 101, 99_999, 100_000, 100_001]),
+    ),
+    label=labels,
+)
+def test_writers_match_row_writers(values, t, label):
+    trace = Trace(np.resize(np.array(values, dtype=np.int64), t), label)
+    assert trace_to_csv(trace) == _row_writer_csv(trace)
+    assert trace_to_json(trace) == _row_writer_json(trace)
+
+
+def _golden_traces() -> dict[str, Trace]:
+    clocks = np.arange(110_000, dtype=np.int64)
+    # widths from 1 to 13 digits, both signs, label with JSON escapes
+    mixed = ((clocks * 2654435761) % (1 << 41) - (1 << 40)) >> (clocks % 41)
+    return {
+        "mixed": Trace(mixed, 'mixed "q" \\ \u00fc\n'),
+        "edges": Trace(DECIMAL_EDGES),
+    }
+
+
+# SHA-256 of the UTF-8 text, as the per-row writers produced it
+GOLDEN_TEXT_DIGESTS = {
+    ("mixed", "csv"): "2351f82158806ca98827401411d577b73f1a3063c5393598ec885b5130b3c742",
+    ("mixed", "json"): "45f6510c1d0b47de46f68401f38ab38a2fe0d92819aff88bdee3e4f4cc96a7c8",
+    ("edges", "csv"): "61b7d97ca609888926bfba7d5147175148a8f3a3fa240905a61b813c9b1a9534",
+    ("edges", "json"): "aafb465fb21183e18df8736772eb346b04de931a0dacce8f4e9c520d717ccb1a",
+}
+
+
+@pytest.mark.parametrize(
+    "name,fmt", list(GOLDEN_TEXT_DIGESTS), ids=[f"{n}-{f}" for n, f in GOLDEN_TEXT_DIGESTS]
+)
+def test_writer_golden_digest(name, fmt):
+    writer = trace_to_csv if fmt == "csv" else trace_to_json
+    text = writer(_golden_traces()[name])
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_TEXT_DIGESTS[name, fmt]
+
+
+def _peak_bytes(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("values", [[-1, 1], [INT64_MIN, INT64_MAX]], ids=["rtw", "int64-edges"])
+def test_csv_writer_peak_below_row_writer(values):
+    trace = Trace(np.resize(np.array(values, dtype=np.int64), 2**17))
+    assert _peak_bytes(trace_to_csv, trace) < _peak_bytes(_row_writer_csv, trace)
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -309,7 +404,6 @@ def test_parsers_reject_out_of_range_amplitudes(amplitude):
 # -- the CSV reader's grammar -------------------------------------------------
 
 HEADER = "clock,amplitude\n"
-INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
 MALFORMED = "malformed row after the header"
 
 # (text, samples it parses to) or (text, pattern of the TraceParseError)
