@@ -8,6 +8,11 @@ plot emission is data-only (CSV/JSON consumable by any plotting tool).
 
 Exit codes: 0 success, 2 usage error or amplitude overflow, 3 decode/oracle
 mismatch (including ``compare`` divergence), 4 I/O or parse failure.
+``gate`` exits 0 when its self-decode is refused (``engine: decode
+failed``): its engine/oracle judge is the ``realize(predicted) == out``
+check, which exits 3, as does a decode that disagrees with the
+prediction. A refusal is the greedy superposition decoder's limit, not
+a wrong output.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .errors import TargetIndexError
+from .errors import LengthMismatchError, TargetIndexError
 from .reference import ReferenceSystem, Trace, multiply_traces, product_signs
 
 #: A gate target is a nonempty set of noise-bit indices in {1..M}.
@@ -70,10 +70,13 @@ def xor_targeted(sys: ReferenceSystem, signal: Trace, i: int, p: int) -> Trace:
 
     For p = 1 this multiplies by the high RTW of bit i; for p = 0 the
     operand is the constant 1 and the input passes through untouched.
+    Either way ``signal`` must span the system's T clocks.
     """
     _as_targets(sys, (i,))
     if p not in (0, 1):
         raise ValueError("bit value p must be 0 or 1")
+    if signal.t != sys.t:
+        raise LengthMismatchError(f"trace lengths differ: {signal.t} != {sys.t}")
     if p == 0:
         return signal
     return multiply_traces(signal, sys.high(i))
@@ -82,12 +85,10 @@ def xor_targeted(sys: ReferenceSystem, signal: Trace, i: int, p: int) -> Trace:
 def xnor_targeted(sys: ReferenceSystem, signal: Trace, i: int, p: int) -> Trace:
     """XNOR noise-bit ``i`` of every carried product state with bit value ``p``.
 
-    Implemented literally as the defining product with both the value
-    operand and the high reference, signal * G_i(p) * high_i, so the
-    p = 1 cancellation emerges from the algebra instead of a branch.
+    The defining product is signal * G_i(p) * high_i, with G_i(0) the
+    constant 1 and G_i(1) = high_i. Since high_i squared is the constant 1,
+    G_i(1) cancels the trailing high_i, so XNOR with p is XOR with 1 - p.
     """
-    _as_targets(sys, (i,))
     if p not in (0, 1):
         raise ValueError("bit value p must be 0 or 1")
-    operand = sys.high(i) if p == 1 else sys.low
-    return multiply_traces(multiply_traces(signal, operand), sys.high(i))
+    return xor_targeted(sys, signal, i, 1 - p)

@@ -358,44 +358,6 @@ _ASCII_ZERO = _U64(ord("0"))
 _TEXT_BLOCK = 1 << 14
 
 
-def _write_digits(cols: np.ndarray, mag: np.ndarray) -> None:
-    """Write each uint64 of ``mag`` as right-aligned ASCII digits into the
-    rows of the uint8 view ``cols``, whose width fits the longest; cells
-    left of a number stay NUL. ``mag`` is consumed.
-
-    A column is written densely while at least half the rows still have
-    digits left, and after that only for those rows, so a trace of a few
-    wide values among many short ones costs about two dense passes.
-    """
-    n = mag.size
-    quot = np.empty_like(mag)
-    digit = np.empty_like(mag)
-    offset = np.empty_like(mag)
-    col = cols.shape[1] - 1
-    ascii_offset = _ASCII_ZERO  # the units digit is written even for 0
-    while True:
-        np.floor_divide(mag, _TEN, out=quot)
-        np.multiply(quot, _TEN, out=digit)
-        np.subtract(mag, digit, out=digit)
-        digit += ascii_offset
-        cols[:, col] = digit
-        mag, quot = quot, mag
-        col -= 1
-        if 2 * np.count_nonzero(mag) < n:
-            break
-        # a value with no digits left has digit 0 and offset 0: its cell stays NUL
-        ascii_offset = np.minimum(mag, 1, out=offset)
-        ascii_offset *= _ASCII_ZERO
-    rows = np.flatnonzero(mag)
-    mag = mag[rows]
-    while rows.size:
-        quot = mag // _TEN
-        cols[rows, col] = mag - quot * _TEN + _ASCII_ZERO
-        keep = quot != 0
-        rows, mag = rows[keep], quot[keep]
-        col -= 1
-
-
 def _decimal_rows(*fields: np.ndarray | bytes) -> str:
     """One line of text per row: each field is an int64 column, written in
     decimal, or a separator repeated on every row.
@@ -405,7 +367,8 @@ def _decimal_rows(*fields: np.ndarray | bytes) -> str:
     negative, and shorter values are padded with NUL, which is deleted
     at the end. The output equals ``str`` of every value, byte for byte.
     Rows are filled one block at a time, so the digit loop's temporaries
-    stay in cache.
+    stay in cache, and a block's digit loop ends at the width of its own
+    longest value.
     """
     n = next(f.size for f in fields if isinstance(f, np.ndarray))
     layout = []  # (field, first column, end column, signed)
@@ -420,8 +383,11 @@ def _decimal_rows(*fields: np.ndarray | bytes) -> str:
             width += signed + len(str(max(high, -low)))
         layout.append((field, start, width, signed))
     table = np.zeros((n, width), dtype=np.uint8)
+    quot_buffer = np.empty(min(n, _TEXT_BLOCK), dtype=np.uint64)
+    digit_buffer = np.empty_like(quot_buffer)
     for first in range(0, n, _TEXT_BLOCK):
         rows = table[first : first + _TEXT_BLOCK]
+        quot, digit = quot_buffer[: len(rows)], digit_buffer[: len(rows)]
         for field, start, end, signed in layout:
             if isinstance(field, bytes):
                 rows[:, start:end] = np.frombuffer(field, dtype=np.uint8)
@@ -434,8 +400,19 @@ def _decimal_rows(*fields: np.ndarray | bytes) -> str:
             mag -= sign
             if signed:
                 rows[:, start] = sign & _U64(ord("-"))
-                start += 1
-            _write_digits(rows[:, start:end], mag)
+            # right to left; a cell left of a number's first digit stays NUL
+            col, has_digits = end - 1, True  # the units digit is written even for 0
+            while True:
+                np.floor_divide(mag, _TEN, out=quot)
+                np.multiply(quot, _TEN, out=digit)
+                np.subtract(mag, digit, out=digit)
+                digit += _ASCII_ZERO
+                np.copyto(rows[:, col], digit, casting="unsafe", where=has_digits)
+                mag, quot = quot, mag
+                has_digits = mag != 0
+                if not has_digits.any():
+                    break
+                col -= 1
     return table.tobytes().translate(None, b"\0").decode("ascii")
 
 

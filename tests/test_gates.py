@@ -4,6 +4,7 @@ import pytest
 
 from noiselogic import (
     BitString,
+    LengthMismatchError,
     TargetIndexError,
     apply_not,
     decode_product,
@@ -168,6 +169,14 @@ class TestTargetedGates:
             xor_targeted(sys4, a, 0, 1)
         with pytest.raises(ValueError):
             xnor_targeted(sys4, a, 1, 2)
+
+    @pytest.mark.parametrize("gate", [xor_targeted, xnor_targeted])
+    @pytest.mark.parametrize("p", [0, 1])
+    def test_rejects_wrong_length_signal(self, sys4, gate, p):
+        # p = 0 XOR passes its input through, so it needs a check of its own
+        short = generate_reference_system(4, 64, seed=17).high(1)
+        with pytest.raises(LengthMismatchError):
+            gate(sys4, short, 1, p)
 
 
 class TestCrossGateIdentities:

@@ -24,6 +24,7 @@ from noiselogic import (
     trace_to_csv,
     trace_to_json,
 )
+from noiselogic.reference import _TEXT_BLOCK
 
 
 def test_generation_domain():
@@ -311,6 +312,17 @@ def test_writers_match_row_writers(values, t, label):
     assert trace_to_csv(trace) == _row_writer_csv(trace)
     assert trace_to_json(trace) == _row_writer_json(trace)
 
+
+@pytest.mark.parametrize("wide", [1 << 62, INT64_MIN], ids=["2^62", "-2^63"])
+@pytest.mark.parametrize("where", ["second-block", "last-row"])
+def test_writers_one_wide_value_among_zeros(wide, where):
+    # each block's digit loop stops at its own widest value: only the block
+    # holding the wide value may write past the units column
+    samples = np.zeros(2 * _TEXT_BLOCK + 7, dtype=np.int64)
+    samples[_TEXT_BLOCK + 123 if where == "second-block" else -1] = wide
+    trace = Trace(samples)
+    assert trace_to_csv(trace) == _row_writer_csv(trace)
+    assert trace_to_json(trace) == _row_writer_json(trace)
 
 def _golden_traces() -> dict[str, Trace]:
     clocks = np.arange(110_000, dtype=np.int64)
