@@ -256,7 +256,13 @@ def universe_stats(sys: ReferenceSystem, u: Trace | None = None) -> UniverseStat
         u = universe(sys)
     if u.t != sys.t:
         raise LengthMismatchError(f"trace length {u.t} != system length {sys.t}")
-    amplitudes = tuple(int(v) for v in np.unique(u.samples))
+    # np.unique hashes int64 arrays; sorted, the distinct values are the
+    # first of each run of equal neighbours
+    ordered = np.sort(u.samples)
+    first = np.empty(ordered.size, dtype=bool)
+    first[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    amplitudes = tuple(ordered[first].tolist())
     p_hat = float(np.count_nonzero(u.samples) / u.t)
     return UniverseStats(
         m=sys.m,

@@ -12,7 +12,16 @@ from __future__ import annotations
 from typing import Iterable
 
 from .errors import LengthMismatchError, TargetIndexError
-from .reference import ReferenceSystem, Trace, multiply_traces, product_signs
+from .reference import (
+    ReferenceSystem,
+    Trace,
+    _adopt,
+    _require_same_length,
+    check_headroom,
+    max_abs,
+    multiply_traces,
+    product_signs,
+)
 
 #: A gate target is a nonempty set of noise-bit indices in {1..M}.
 TargetSet = frozenset[int]
@@ -28,6 +37,16 @@ def _as_targets(sys: ReferenceSystem, targets: Iterable[int]) -> TargetSet:
     return ts
 
 
+def _times_signs(sys: ReferenceSystem, mask: int, *operands: Trace) -> Trace:
+    """The operands times product state ``mask``, multiplied into the
+    product state's own sign array. The caller checks lengths and headroom
+    (signs are +-1, so the operands' product is the bound)."""
+    out = product_signs(mask, sys.negative_masks)
+    for x in operands:
+        out *= x.samples
+    return _adopt(out)
+
+
 def not_operator(sys: ReferenceSystem, targets: Iterable[int]) -> Trace:
     """The NOT signal for a target set: product of the targeted highs.
 
@@ -37,14 +56,19 @@ def not_operator(sys: ReferenceSystem, targets: Iterable[int]) -> Trace:
     """
     ts = sorted(_as_targets(sys, targets))
     mask = sum(1 << (i - 1) for i in ts)
-    return Trace(
+    return _adopt(
         product_signs(mask, sys.negative_masks), "not_" + "".join(str(i) for i in ts)
     )
 
 
 def apply_not(sys: ReferenceSystem, targets: Iterable[int], signal: Trace) -> Trace:
-    """Invert the targeted bits of every product state carried by ``signal``."""
-    return multiply_traces(not_operator(sys, targets), signal)
+    """Invert the targeted bits of every product state carried by ``signal``:
+    ``signal`` times :func:`not_operator`."""
+    mask = sum(1 << (i - 1) for i in _as_targets(sys, targets))
+    if signal.t != sys.t:
+        raise LengthMismatchError(f"trace lengths differ: {sys.t} != {signal.t}")
+    check_headroom(max_abs(signal), "product")
+    return _times_signs(sys, mask, signal)
 
 
 def xor_pair(a: Trace, b: Trace) -> Trace:
@@ -62,7 +86,11 @@ def xor_pair(a: Trace, b: Trace) -> Trace:
 
 def xnor_pair(sys: ReferenceSystem, a: Trace, b: Trace) -> Trace:
     """Pairwise XNOR: a * b * ones, with ones the all-high product string."""
-    return multiply_traces(multiply_traces(a, b), sys.ones)
+    _require_same_length(a, b)
+    check_headroom(max_abs(a) * max_abs(b), "product")
+    if a.t != sys.t:
+        raise LengthMismatchError(f"trace lengths differ: {a.t} != {sys.t}")
+    return _times_signs(sys, (1 << sys.m) - 1, a, b)
 
 
 def xor_targeted(sys: ReferenceSystem, signal: Trace, i: int, p: int) -> Trace:
@@ -79,7 +107,8 @@ def xor_targeted(sys: ReferenceSystem, signal: Trace, i: int, p: int) -> Trace:
         raise LengthMismatchError(f"trace lengths differ: {signal.t} != {sys.t}")
     if p == 0:
         return signal
-    return multiply_traces(signal, sys.high(i))
+    check_headroom(max_abs(signal), "product")
+    return _times_signs(sys, 1 << (i - 1), signal)
 
 
 def xnor_targeted(sys: ReferenceSystem, signal: Trace, i: int, p: int) -> Trace:

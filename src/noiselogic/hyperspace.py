@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionError, LengthMismatchError, WidthMismatchError
 from .oracle import ProductTerm, SymbolicSuperposition
-from .reference import ReferenceSystem, Trace, check_headroom, max_abs, product_signs
+from .reference import ReferenceSystem, Trace, _adopt, check_headroom, max_abs, product_signs
 
 #: CLI literal forms, ASCII only: plain 0/1, ``0b``-prefixed binary, decimal.
 _LITERAL = re.compile(r"([01]+)|0[bB]([01]+)|([0-9]+)")
@@ -97,7 +97,7 @@ def product_trace(sys: ReferenceSystem, term: ProductTerm) -> Trace:
     """
     if term.width != sys.m:
         raise WidthMismatchError(f"term width {term.width} != system width {sys.m}")
-    return Trace(product_signs(term.mask, sys.negative_masks), term.text())
+    return _adopt(product_signs(term.mask, sys.negative_masks), term.text())
 
 
 def synthesize(sys: ReferenceSystem, s: "BitString | str") -> Trace:
@@ -120,7 +120,7 @@ def superpose(traces: list[Trace], *, t: int | None = None) -> Trace:
     if not traces:
         if t is None:
             raise DimensionError("superposing nothing requires an explicit clock count t")
-        return Trace(np.zeros(int(t), dtype=np.int64))
+        return Trace(np.zeros(int(t), dtype=np.int64))  # refuses t < 1
     length = traces[0].t
     for tr in traces[1:]:
         if tr.t != length:
@@ -128,10 +128,10 @@ def superpose(traces: list[Trace], *, t: int | None = None) -> Trace:
     if t is not None and t != length:
         raise LengthMismatchError(f"explicit t={t} != trace length {length}")
     check_headroom(sum(max_abs(tr) for tr in traces), "superposition")
-    acc = np.zeros(length, dtype=np.int64)
-    for tr in traces:
+    acc = traces[0].samples.copy()
+    for tr in traces[1:]:
         acc += tr.samples
-    return Trace(acc)
+    return _adopt(acc)
 
 
 def universe(sys: ReferenceSystem) -> Trace:
@@ -141,9 +141,9 @@ def universe(sys: ReferenceSystem) -> Trace:
     high reference is +1 (no negative bit set) and 0 elsewhere, so one
     comparison per clock replaces a 2^M-term sum.
     """
-    return Trace(
-        np.where(sys.negative_masks == 0, np.int64(1 << sys.m), np.int64(0)), "universe"
-    )
+    amplitudes = np.equal(sys.negative_masks, 0, out=np.empty(sys.t, dtype=np.int64))
+    amplitudes <<= sys.m  # 1 -> 2^M
+    return _adopt(amplitudes, "universe")
 
 
 def realize(sys: ReferenceSystem, sup: SymbolicSuperposition) -> Trace:
@@ -158,5 +158,8 @@ def realize(sys: ReferenceSystem, sup: SymbolicSuperposition) -> Trace:
     check_headroom(sum(abs(c) for c in sup.terms.values()), "superposition")
     acc = np.zeros(sys.t, dtype=np.int64)
     for mask, coeff in sup.terms.items():
-        acc += coeff * product_signs(mask, sys.negative_masks)
-    return Trace(acc)
+        signs = product_signs(mask, sys.negative_masks)
+        signs *= coeff
+        acc += signs
+        del signs  # freed before the next term's signs are allocated
+    return _adopt(acc)

@@ -12,6 +12,7 @@ order and any sample is addressable in O(1).
 
 from __future__ import annotations
 
+import array
 import io
 import json
 import re
@@ -47,14 +48,19 @@ class Trace:
 
     Carries every signal class in the engine: reference RTWs and product
     states (samples in {+1, -1}) as well as superpositions (arbitrary
-    integer samples). Immutable after construction.
+    integer samples). Immutable after construction: ``Trace(samples)``
+    copies the caller's samples into a read-only int64 array, so later
+    writes to the caller's array do not reach the trace. The library's
+    own results are computed into a fresh array and handed over read-only
+    without that copy.
     """
 
     samples: np.ndarray
     label: str | None = None
 
     def __post_init__(self):
-        arr = np.array(self.samples, dtype=np.int64)  # always a private copy
+        # a private copy: the caller keeps a writable reference to its array
+        arr = np.array(self.samples, dtype=np.int64)
         if arr.ndim != 1 or arr.size < 1:
             raise DimensionError("a trace needs a one-dimensional, non-empty sample array")
         arr.flags.writeable = False
@@ -83,7 +89,7 @@ class Trace:
             return multiply_traces(self, other)
         if isinstance(other, (int, np.integer)):
             check_headroom(max_abs(self) * abs(int(other)), "scalar product")
-            return Trace(self.samples * np.int64(other))
+            return _adopt(self.samples * np.int64(other))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -93,24 +99,40 @@ class Trace:
             return NotImplemented
         _require_same_length(self, other)
         check_headroom(max_abs(self) + max_abs(other), "sum")
-        return Trace(self.samples + other.samples)
+        return _adopt(self.samples + other.samples)
 
     def __neg__(self) -> "Trace":
         check_headroom(max_abs(self), "negation")
-        return Trace(-self.samples)
+        return _adopt(-self.samples)
 
     def is_binary(self) -> bool:
         """True when every sample is +1 or -1 (RTW / product-state class)."""
         return bool(np.all(np.abs(self.samples) == 1))
 
     def with_label(self, label: str | None) -> "Trace":
-        return Trace(self.samples, label)
+        """This trace under another label; the two share one read-only array."""
+        return _adopt(self.samples, label)
 
     def __repr__(self) -> str:
         head = ",".join(str(v) for v in self.samples[:8])
         tail = ",..." if self.t > 8 else ""
         name = f" {self.label!r}" if self.label else ""
         return f"<Trace{name} T={self.t} [{head}{tail}]>"
+
+
+def _adopt(samples: np.ndarray, label: str | None = None) -> Trace:
+    """A trace over ``samples`` without the copy ``Trace()`` makes.
+
+    Only for a one-dimensional, non-empty int64 array that the library
+    has just computed and that no caller holds, or for the samples of
+    another trace: the array is made read-only and becomes the trace's
+    own.
+    """
+    samples.flags.writeable = False
+    trace = object.__new__(Trace)
+    object.__setattr__(trace, "samples", samples)
+    object.__setattr__(trace, "label", label)
+    return trace
 
 
 def _require_same_length(a: Trace, b: Trace) -> None:
@@ -135,7 +157,7 @@ def low_reference(t: int, *, label: str | None = "low") -> Trace:
     """The squeezed logic-low reference: the constant trace of value 1."""
     if t < 1:
         raise DimensionError("clock count must be at least 1")
-    return Trace(np.ones(int(t), dtype=np.int64), label)
+    return _adopt(np.ones(int(t), dtype=np.int64), label)
 
 
 def multiply_traces(a: Trace, b: Trace) -> Trace:
@@ -146,7 +168,7 @@ def multiply_traces(a: Trace, b: Trace) -> Trace:
     """
     _require_same_length(a, b)
     check_headroom(max_abs(a) * max_abs(b), "product")
-    return Trace(a.samples * b.samples)
+    return _adopt(a.samples * b.samples)
 
 
 def _mix64_top(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -176,10 +198,16 @@ def product_signs(masks, negatives: np.ndarray) -> np.ndarray:
 
     A product state's sample is -1 exactly when an odd number of its high
     references are -1, so it is the parity of ``mask & negatives``. Either
-    side may be a scalar or an array; they broadcast.
+    side may be a scalar or an array; they broadcast. The signs are
+    computed in place in the one new array that holds ``mask & negatives``.
     """
-    parity = np.bitwise_count(np.asarray(masks, dtype=np.uint64) & negatives) & 1
-    return 1 - 2 * parity.astype(np.int64)
+    words = np.asarray(np.asarray(masks, dtype=np.uint64) & negatives)
+    np.bitwise_count(words, out=words)
+    words &= _U64(1)
+    signs = words.view(np.int64)  # parity 0 or 1 ...
+    signs *= -2
+    signs += 1  # ... to sign 1 or -1
+    return signs
 
 
 def _negative_masks(seed: int, m: int, t: int) -> np.ndarray:
@@ -199,12 +227,17 @@ def _negative_masks(seed: int, m: int, t: int) -> np.ndarray:
     with np.errstate(over="ignore"):
         keys = _U64(seed & 0xFFFFFFFFFFFFFFFF) + np.arange(1, m + 1, dtype=np.uint64) * _GAMMA
         _mix64(keys, np.empty(m, dtype=np.uint64))
+        # clock c enters as c * _GAMMA; each block steps every clock by width
+        clocks = np.arange(1, width + 1, dtype=np.uint64)
+        clocks *= _GAMMA
+        step = _U64(width) * _GAMMA
         for start in range(0, t, _GENERATION_BLOCK):
             block = masks[start : start + _GENERATION_BLOCK]
             n = block.size
-            clocks = np.arange(start + 1, start + n + 1, dtype=np.uint64) * _GAMMA
+            if start:
+                clocks += step
             for bit, key in enumerate(keys):
-                word = _mix64_top(np.add(clocks, key, out=words[:n]), scratch[:n])
+                word = _mix64_top(np.add(clocks[:n], key, out=words[:n]), scratch[:n])
                 word >>= _U64(63)
                 word <<= _U64(bit)
                 block |= word
@@ -233,7 +266,7 @@ class ReferenceSystem:
         """High reference RTW of noise-bit ``i`` (1-based)."""
         if not 1 <= i <= self.m:
             raise DimensionError(f"noise-bit index {i} outside 1..{self.m}")
-        return Trace(product_signs(1 << (i - 1), self.negative_masks), f"high_{i}")
+        return _adopt(product_signs(1 << (i - 1), self.negative_masks), f"high_{i}")
 
     @property
     def highs(self) -> tuple[Trace, ...]:
@@ -247,7 +280,7 @@ class ReferenceSystem:
     @property
     def ones(self) -> Trace:
         """Product of all M high references: the all-high product string."""
-        return Trace(product_signs((1 << self.m) - 1, self.negative_masks), "ones")
+        return _adopt(product_signs((1 << self.m) - 1, self.negative_masks), "ones")
 
 
 def generate_reference_system(m: int, t: int, seed: int) -> ReferenceSystem:
@@ -456,7 +489,7 @@ def trace_from_csv(text: str) -> Trace:
     if wrong.any():
         row = int(wrong.argmax())
         raise TraceParseError(f"row {row}: clock column reads {rows[row, 0]}")
-    return Trace(rows[:, 1])
+    return _adopt(np.ascontiguousarray(rows[:, 1]))
 
 
 def trace_to_json(trace: Trace) -> str:
@@ -475,18 +508,24 @@ def trace_from_json(text: str) -> Trace:
     if not isinstance(payload, dict) or "samples" not in payload:
         raise TraceParseError("expected an object with a 'samples' array")
     samples = payload["samples"]
-    # exact types: JSON true/false load as bool, a subclass of int
-    if not isinstance(samples, list) or not set(map(type, samples)) <= {int}:
+    if not isinstance(samples, list):
         raise TraceParseError("'samples' must be an array of integers")
+    # JSON true/false load as bool, a subclass of int that array("q") takes
+    if ("true" in text or "false" in text) and any(v is True or v is False for v in samples):
+        raise TraceParseError("'samples' must be an array of integers")
+    try:
+        # array("q") refuses float, str, None, list and dict with TypeError
+        words = array.array("q", samples)
+    except TypeError as exc:
+        raise TraceParseError("'samples' must be an array of integers") from exc
+    except OverflowError as exc:
+        raise TraceParseError("an amplitude lies outside the int64 range") from exc
     label = payload.get("label")
     if label is not None and not isinstance(label, str):
         raise TraceParseError("'label' must be a string or null")
-    try:
-        trace = Trace(samples, label)
-    except OverflowError as exc:
-        raise TraceParseError("an amplitude lies outside the int64 range") from exc
-    except DimensionError as exc:  # the only list of ints it refuses is []
-        raise TraceParseError("trace has no samples") from exc
+    if not words:
+        raise TraceParseError("trace has no samples")
+    trace = _adopt(np.frombuffer(words, dtype=np.int64), label)
     if "T" in payload and (type(payload["T"]) is not int or payload["T"] != trace.t):
         raise TraceParseError(f"declared T={payload['T']!r} but {trace.t} samples present")
     return trace

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noiselogic import (
     AmbiguousDecodeError,
@@ -329,3 +331,21 @@ class TestUniverseStats:
             "standard_error",
         }
         json.dumps(d)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        samples=st.lists(
+            st.one_of(
+                st.sampled_from([-(1 << 63), (1 << 63) - 1, -1, 0, 1, 1 << 62]),
+                st.integers(min_value=-(1 << 63), max_value=(1 << 63) - 1),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_amplitudes_match_unique(self, samples):
+        # any trace of the system's length is censused, not only the universe
+        u = Trace(np.array(samples, dtype=np.int64))
+        stats = universe_stats(generate_reference_system(1, u.t, seed=0), u)
+        assert stats.amplitudes == tuple(np.unique(u.samples).tolist())
+        assert all(type(a) is int for a in stats.amplitudes)

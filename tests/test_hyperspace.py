@@ -126,6 +126,8 @@ class TestSuperpose:
     def test_empty_needs_length(self):
         with pytest.raises(DimensionError):
             superpose([])
+        with pytest.raises(DimensionError):
+            superpose([], t=0)
         z = superpose([], t=7)
         assert list(z.samples) == [0] * 7
 

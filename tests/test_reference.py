@@ -1,6 +1,7 @@
 """Reference noise system: generation, algebra, orthogonality, serialization."""
 
 import hashlib
+import itertools
 import json
 import tracemalloc
 
@@ -281,6 +282,20 @@ def _row_writer_json(trace: Trace) -> str:
     return json.dumps(payload) + "\n"
 
 
+def _assert_same_text(got: str, want: str) -> None:
+    """The two texts are equal, character for character. A failure names
+    only the first line that differs: on texts of 10^5 lines, pytest's own
+    line diff of the two takes minutes."""
+    same = got == want
+    assert same, _first_different_line(got, want)
+
+
+def _first_different_line(got: str, want: str) -> str:
+    pairs = itertools.zip_longest(got.split("\n"), want.split("\n"))
+    row, (g, w) = next((row, pair) for row, pair in enumerate(pairs) if pair[0] != pair[1])
+    return f"line {row} differs: got {g!r}, want {w!r}"
+
+
 # the int64 edges and both sides of every power of ten in between
 DECIMAL_EDGES = [INT64_MIN, INT64_MAX, 0] + [
     sign * (10**k + d) for k in range(1, 19) for d in (-1, 0) for sign in (1, -1)
@@ -309,8 +324,8 @@ labels = st.one_of(
 )
 def test_writers_match_row_writers(values, t, label):
     trace = Trace(np.resize(np.array(values, dtype=np.int64), t), label)
-    assert trace_to_csv(trace) == _row_writer_csv(trace)
-    assert trace_to_json(trace) == _row_writer_json(trace)
+    _assert_same_text(trace_to_csv(trace), _row_writer_csv(trace))
+    _assert_same_text(trace_to_json(trace), _row_writer_json(trace))
 
 
 @pytest.mark.parametrize("wide", [1 << 62, INT64_MIN], ids=["2^62", "-2^63"])
@@ -321,8 +336,8 @@ def test_writers_one_wide_value_among_zeros(wide, where):
     samples = np.zeros(2 * _TEXT_BLOCK + 7, dtype=np.int64)
     samples[_TEXT_BLOCK + 123 if where == "second-block" else -1] = wide
     trace = Trace(samples)
-    assert trace_to_csv(trace) == _row_writer_csv(trace)
-    assert trace_to_json(trace) == _row_writer_json(trace)
+    _assert_same_text(trace_to_csv(trace), _row_writer_csv(trace))
+    _assert_same_text(trace_to_json(trace), _row_writer_json(trace))
 
 def _golden_traces() -> dict[str, Trace]:
     clocks = np.arange(110_000, dtype=np.int64)
@@ -393,6 +408,12 @@ def test_csv_parse_failures(text):
         '{"T": 3, "samples": [1]}',
         '{"samples": [true, false]}',  # JSON booleans are not amplitudes
         '{"samples": [1, true]}',
+        '{"label": "true", "samples": [1, false]}',
+        '{"samples": [1, 1.0]}',
+        '{"samples": [1, "2"]}',
+        '{"samples": [1, null]}',
+        '{"samples": [1, [2]]}',
+        '{"samples": [1, {}]}',
         '{"T": true, "samples": [5]}',  # T must be an integer, not True == 1
         '{"T": 1.0, "samples": [5]}',
         '{"T": "1", "samples": [5]}',
@@ -403,6 +424,13 @@ def test_csv_parse_failures(text):
 def test_json_parse_failures(text):
     with pytest.raises(TraceParseError):
         trace_from_json(text)
+
+
+def test_json_reader_takes_integers_beside_a_true_label():
+    # "true" in the text makes the reader look for booleans; there are none
+    trace = trace_from_json('{"label": "true", "samples": [1, 0, -9223372036854775808]}')
+    assert trace.samples.tolist() == [1, 0, INT64_MIN]
+    assert trace.label == "true"
 
 
 @pytest.mark.parametrize("amplitude", [99999999999999999999, 1 << 63, -(1 << 63) - 1])
