@@ -33,7 +33,6 @@ from .errors import (
     WidthMismatchError,
 )
 from .gates import (
-    TargetSet,
     apply_not,
     not_operator,
     xnor_pair,
@@ -90,7 +89,6 @@ __all__ = [
     "SuperpositionDecodeError",
     "SymbolicSuperposition",
     "TargetIndexError",
-    "TargetSet",
     "Trace",
     "TraceParseError",
     "UniverseStats",

@@ -8,6 +8,7 @@ plot emission is data-only (CSV/JSON consumable by any plotting tool).
 
 Exit codes: 0 success, 2 usage error or amplitude overflow, 3 decode/oracle
 mismatch (including ``compare`` divergence), 4 I/O or parse failure.
+Running out of memory (a huge ``--t``) is exit 2, with one ``error:`` line.
 ``gate`` exits 0 when its self-decode is refused (``engine: decode
 failed``): its engine/oracle judge is the ``realize(predicted) == out``
 check, which exits 3, as does a decode that disagrees with the
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys as _sys
 from pathlib import Path
 
@@ -29,6 +31,7 @@ from .errors import (
     NoiseLogicError,
     OracleMismatchError,
     TraceParseError,
+    WidthMismatchError,
 )
 from .gates import (
     apply_not,
@@ -37,7 +40,7 @@ from .gates import (
     xor_pair,
     xor_targeted,
 )
-from .hyperspace import _LITERAL, BitString, realize, superpose, synthesize, universe
+from .hyperspace import product_trace, realize, superpose, universe
 from .oracle import ProductTerm, SymbolicSuperposition
 from .reference import (
     MAX_NOISE_BITS,
@@ -50,6 +53,10 @@ DEFAULT_SEED = 42
 DEFAULT_T = 128
 #: Overrides the default seed when ``--seed`` is not given.
 SEED_ENV_VAR = "NOISELOGIC_SEED"
+
+
+#: Bit-string literal forms, ASCII only: plain 0/1, ``0b``-prefixed binary, decimal.
+_LITERAL = re.compile(r"([01]+)|0[bB]([01]+)|([0-9]+)")
 
 
 class UsageError(Exception):
@@ -109,6 +116,29 @@ def _parse_operand(expr: str) -> list[tuple[int, str]]:
     return entries
 
 
+def _parse_literal(text: str, width: int | None = None) -> ProductTerm:
+    """Parse a bit-string literal.
+
+    Plain 0/1 strings are binary literals carrying their own width.
+    ``0b``-prefixed or decimal forms need an explicit width. Digits are
+    ASCII only, with no ``_`` separators.
+    """
+    text = text.strip()
+    match = _LITERAL.fullmatch(text)
+    if match is None:
+        raise WidthMismatchError(f"cannot parse bit string {text!r}")
+    plain, binary, decimal = match.groups()
+    if plain is not None:
+        if width is not None and len(plain) != width:
+            raise WidthMismatchError(
+                f"literal {text!r} has width {len(plain)}, expected {width}"
+            )
+        return ProductTerm.from_text(plain)
+    if width is None:
+        raise WidthMismatchError(f"{text!r} needs an explicit width")
+    return ProductTerm.from_value(width, int(binary, 2) if binary is not None else int(decimal))
+
+
 def _infer_width(operands: list[list[tuple[int, str]]], m: int | None) -> int:
     widths = {m} if m is not None else set()
     for entries in operands:
@@ -124,10 +154,7 @@ def _infer_width(operands: list[list[tuple[int, str]]], m: int | None) -> int:
 
 
 def _operand_superposition(entries: list[tuple[int, str]], width: int) -> SymbolicSuperposition:
-    terms = []
-    for coeff, literal in entries:
-        s = BitString.parse(literal, width)
-        terms.append((s.to_term(), coeff))
+    terms = [(_parse_literal(literal, width), coeff) for coeff, literal in entries]
     return SymbolicSuperposition.from_terms(width, terms)
 
 
@@ -157,11 +184,11 @@ def cmd_synth(args) -> int:
     # every operand is checked before the first file is written
     if any(len(entries) != 1 or entries[0][0] != 1 for entries in operands):
         raise UsageError("synth takes plain bit strings; use --superpose for sums")
-    strings = [BitString.parse(entries[0][1], width) for entries in operands]
+    terms = [_parse_literal(entries[0][1], width) for entries in operands]
     sys = generate_reference_system(width, args.t, _resolve_seed(args.seed))
-    traces = [synthesize(sys, s) for s in strings]
-    for s, trace in zip(strings, traces):
-        _write(args, trace, f"synth_{s.text}")
+    traces = [product_trace(sys, term) for term in terms]
+    for term, trace in zip(terms, traces):
+        _write(args, trace, f"synth_{term.text()}")
     if args.superpose:
         _write(args, superpose(traces).with_label("superposition"), "superposition")
     return 0
@@ -184,7 +211,12 @@ def cmd_universe(args) -> int:
 def _gate_prediction(
     args, state: SymbolicSuperposition, b_entries: list[tuple[int, str]] | None, width: int
 ):
-    """Numeric output and symbolic prediction for one gate invocation."""
+    """Numeric output and symbolic prediction for one gate invocation.
+
+    Each gate form multiplies the input by one symbolic operand, so the
+    prediction is ``state * operand``. NOT and the targeted forms run the
+    gate before building the operand, so the gate reports a bad target.
+    """
     kind = args.kind
     sys = generate_reference_system(width, args.t, _resolve_seed(args.seed))
     x = realize(sys, state)
@@ -192,34 +224,26 @@ def _gate_prediction(
     if kind == "not":
         targets = _parse_targets(args.targets)
         out = apply_not(sys, targets, x)
-        predicted = state * ProductTerm.from_indices(width, targets)
-        return sys, out, predicted
-
-    if args.target is not None:
-        # targeted XOR/XNOR against a single noise-bit value
+        operand = ProductTerm.from_indices(width, targets)
+    elif args.target is not None:
+        # targeted XOR/XNOR: G_i(p) is high_i for p = 1, else the constant 1
         i, p = args.target, args.value
-        value_term = (
-            ProductTerm.from_indices(width, [i]) if p == 1 else ProductTerm.zeros(width)
-        )
-        if kind == "xor":
-            out = xor_targeted(sys, x, i, p)
-            predicted = state * value_term
-        else:
-            out = xnor_targeted(sys, x, i, p)
-            predicted = state * value_term * ProductTerm.from_indices(width, [i])
-        return sys, out, predicted
-
-    other = _operand_superposition(b_entries, width)
-    xb = realize(sys, other)
-    if len(state) > 1 and len(other) > 1:
-        print("note: superposition-by-superposition product; outside tabulated gate semantics")
-    if kind == "xor":
-        out = xor_pair(x, xb)
-        predicted = state * other
+        out = (xor_targeted if kind == "xor" else xnor_targeted)(sys, x, i, p)
+        high_i = ProductTerm.from_indices(width, [i])
+        operand = high_i if p == 1 else ProductTerm.zeros(width)
+        if kind == "xnor":
+            operand = operand * high_i
     else:
-        out = xnor_pair(sys, x, xb)
-        predicted = state * other * ProductTerm.ones(width)
-    return sys, out, predicted
+        operand = _operand_superposition(b_entries, width)
+        xb = realize(sys, operand)
+        if len(state) > 1 and len(operand) > 1:
+            print("note: superposition-by-superposition product; outside tabulated gate semantics")
+        if kind == "xor":
+            out = xor_pair(x, xb)
+        else:
+            out = xnor_pair(sys, x, xb)
+            operand = operand * ProductTerm.ones(width)
+    return sys, out, state * operand
 
 
 #: The flags of the NOT form and of the pairwise or targeted XOR/XNOR forms.
@@ -372,6 +396,9 @@ def main(argv=None) -> int:
         return 4
     except NoiseLogicError as exc:
         print(f"error: {exc}", file=_sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=_sys.stderr)
         return 2
 
 

@@ -3,12 +3,15 @@
 Every gate is a sample-wise multiplication, so outputs are valid at each
 clock cycle without time averaging, and each gate distributes over
 superpositions: applying it to a sum applies it to every component at
-once. Gates operate on traces only; their string-level truth tables are
-theorems checked by the test suite, not an implementation path.
+once. Each gate that takes a reference system is one product state (a
+bit-mask) times its operands, computed by one kernel. Gates operate on
+traces only; their string-level truth tables are theorems checked by the
+test suite, not an implementation path.
 """
 
 from __future__ import annotations
 
+from math import prod
 from typing import Iterable
 
 from .errors import LengthMismatchError, TargetIndexError
@@ -16,35 +19,37 @@ from .reference import (
     ReferenceSystem,
     Trace,
     _adopt,
-    _require_same_length,
     check_headroom,
     max_abs,
     multiply_traces,
     product_signs,
 )
 
-#: A gate target is a nonempty set of noise-bit indices in {1..M}.
-TargetSet = frozenset[int]
 
-
-def _as_targets(sys: ReferenceSystem, targets: Iterable[int]) -> TargetSet:
-    ts = frozenset(int(i) for i in targets)
+def _target_mask(sys: ReferenceSystem, targets: Iterable[int]) -> int:
+    """Product-state mask of a nonempty set of noise-bit indices in 1..M."""
+    ts = {int(i) for i in targets}
     if not ts:
         raise TargetIndexError("target set must not be empty")
     bad = [i for i in ts if not 1 <= i <= sys.m]
     if bad:
         raise TargetIndexError(f"noise-bit indices {sorted(bad)} outside 1..{sys.m}")
-    return ts
+    return sum(1 << (i - 1) for i in ts)
 
 
-def _times_signs(sys: ReferenceSystem, mask: int, *operands: Trace) -> Trace:
-    """The operands times product state ``mask``, multiplied into the
-    product state's own sign array. The caller checks lengths and headroom
-    (signs are +-1, so the operands' product is the bound)."""
+def _gate(sys: ReferenceSystem, mask: int, *operands: Trace, label: str | None = None) -> Trace:
+    """Product state ``mask`` times the operands, multiplied into the
+    product state's own sign array. Every operand must span the system's T
+    clocks; signs are +-1, so the product of the operands' max |amplitude|
+    bounds the result."""
+    for x in operands:
+        if x.t != sys.t:
+            raise LengthMismatchError(f"trace lengths differ: {x.t} != {sys.t}")
+    check_headroom(prod(max_abs(x) for x in operands), "product")
     out = product_signs(mask, sys.negative_masks)
     for x in operands:
         out *= x.samples
-    return _adopt(out)
+    return _adopt(out, label)
 
 
 def not_operator(sys: ReferenceSystem, targets: Iterable[int]) -> Trace:
@@ -54,21 +59,15 @@ def not_operator(sys: ReferenceSystem, targets: Iterable[int]) -> Trace:
     state in that signal; applying it twice is the identity (each high
     squared is the constant 1).
     """
-    ts = sorted(_as_targets(sys, targets))
-    mask = sum(1 << (i - 1) for i in ts)
-    return _adopt(
-        product_signs(mask, sys.negative_masks), "not_" + "".join(str(i) for i in ts)
-    )
+    mask = _target_mask(sys, targets)
+    bits = "".join(str(i) for i in range(1, sys.m + 1) if mask >> (i - 1) & 1)
+    return _gate(sys, mask, label="not_" + bits)
 
 
 def apply_not(sys: ReferenceSystem, targets: Iterable[int], signal: Trace) -> Trace:
     """Invert the targeted bits of every product state carried by ``signal``:
     ``signal`` times :func:`not_operator`."""
-    mask = sum(1 << (i - 1) for i in _as_targets(sys, targets))
-    if signal.t != sys.t:
-        raise LengthMismatchError(f"trace lengths differ: {sys.t} != {signal.t}")
-    check_headroom(max_abs(signal), "product")
-    return _times_signs(sys, mask, signal)
+    return _gate(sys, _target_mask(sys, targets), signal)
 
 
 def xor_pair(a: Trace, b: Trace) -> Trace:
@@ -86,11 +85,7 @@ def xor_pair(a: Trace, b: Trace) -> Trace:
 
 def xnor_pair(sys: ReferenceSystem, a: Trace, b: Trace) -> Trace:
     """Pairwise XNOR: a * b * ones, with ones the all-high product string."""
-    _require_same_length(a, b)
-    check_headroom(max_abs(a) * max_abs(b), "product")
-    if a.t != sys.t:
-        raise LengthMismatchError(f"trace lengths differ: {a.t} != {sys.t}")
-    return _times_signs(sys, (1 << sys.m) - 1, a, b)
+    return _gate(sys, (1 << sys.m) - 1, a, b)
 
 
 def xor_targeted(sys: ReferenceSystem, signal: Trace, i: int, p: int) -> Trace:
@@ -100,15 +95,14 @@ def xor_targeted(sys: ReferenceSystem, signal: Trace, i: int, p: int) -> Trace:
     operand is the constant 1 and the input passes through untouched.
     Either way ``signal`` must span the system's T clocks.
     """
-    _as_targets(sys, (i,))
+    mask = _target_mask(sys, (i,))
     if p not in (0, 1):
         raise ValueError("bit value p must be 0 or 1")
-    if signal.t != sys.t:
+    if p == 1:
+        return _gate(sys, mask, signal)
+    if signal.t != sys.t:  # returned without a copy, so checked here
         raise LengthMismatchError(f"trace lengths differ: {signal.t} != {sys.t}")
-    if p == 0:
-        return signal
-    check_headroom(max_abs(signal), "product")
-    return _times_signs(sys, 1 << (i - 1), signal)
+    return signal
 
 
 def xnor_targeted(sys: ReferenceSystem, signal: Trace, i: int, p: int) -> Trace:

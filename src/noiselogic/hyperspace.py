@@ -9,7 +9,6 @@ form, one comparison per clock instead of a 2^M-term sum.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,13 +17,14 @@ from .errors import DimensionError, LengthMismatchError, WidthMismatchError
 from .oracle import ProductTerm, SymbolicSuperposition
 from .reference import ReferenceSystem, Trace, _adopt, check_headroom, max_abs, product_signs
 
-#: CLI literal forms, ASCII only: plain 0/1, ``0b``-prefixed binary, decimal.
-_LITERAL = re.compile(r"([01]+)|0[bB]([01]+)|([0-9]+)")
-
 
 @dataclass(frozen=True)
 class BitString:
-    """An M-bit binary number; bit 1 is the leftmost printed character."""
+    """An M-bit binary number; bit 1 is the leftmost printed character.
+
+    The value the decoders return. Its algebra is :class:`ProductTerm`'s,
+    reached through :meth:`to_term`.
+    """
 
     width: int
     value: int
@@ -37,54 +37,12 @@ class BitString:
         term = ProductTerm.from_text(text)
         return cls(term.width, term.value())
 
-    @classmethod
-    def parse(cls, text: str, width: int | None = None) -> "BitString":
-        """Parse a CLI-style literal.
-
-        Plain 0/1 strings are binary literals carrying their own width.
-        ``0b``-prefixed or decimal forms need an explicit width. Digits are
-        ASCII only, with no ``_`` separators.
-        """
-        text = text.strip()
-        match = _LITERAL.fullmatch(text)
-        if match is None:
-            raise WidthMismatchError(f"cannot parse bit string {text!r}")
-        plain, binary, decimal = match.groups()
-        if plain is not None:
-            if width is not None and len(plain) != width:
-                raise WidthMismatchError(
-                    f"literal {text!r} has width {len(plain)}, expected {width}"
-                )
-            return cls.from_text(plain)
-        if width is None:
-            raise WidthMismatchError(f"{text!r} needs an explicit width")
-        return cls(width, int(binary, 2) if binary is not None else int(decimal))
-
-    @property
-    def bits(self) -> tuple[int, ...]:
-        """Bit values left to right; ``bits[0]`` is bit 1."""
-        return tuple(self.value >> (self.width - i) & 1 for i in range(1, self.width + 1))
-
     @property
     def text(self) -> str:
         return format(self.value, f"0{self.width}b")
 
-    @property
-    def high_indices(self) -> frozenset[int]:
-        return self.to_term().indices
-
     def to_term(self) -> ProductTerm:
         return ProductTerm.from_value(self.width, self.value)
-
-    def __xor__(self, other: "BitString") -> "BitString":
-        if not isinstance(other, BitString):
-            return NotImplemented
-        if self.width != other.width:
-            raise WidthMismatchError(f"widths differ: {self.width} != {other.width}")
-        return BitString(self.width, self.value ^ other.value)
-
-    def complement(self) -> "BitString":
-        return BitString(self.width, self.value ^ ((1 << self.width) - 1))
 
     def __repr__(self) -> str:
         return f"BitString({self.text})"

@@ -15,6 +15,7 @@ from __future__ import annotations
 import array
 import io
 import json
+import operator
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -211,7 +212,7 @@ def product_signs(masks, negatives: np.ndarray) -> np.ndarray:
 
 
 def _negative_masks(seed: int, m: int, t: int) -> np.ndarray:
-    """Counter-based RTW streams packed per clock.
+    """Counter-based RTW streams packed per clock, for a seed in [0, 2^64).
 
     Sample (index, clock) = f(seed, index, clock) is +1 iff the top bit of
     its splitmix64 word is 1; bit (index-1) of word clock-1 is set iff the
@@ -225,7 +226,7 @@ def _negative_masks(seed: int, m: int, t: int) -> np.ndarray:
     scratch = np.empty(width, dtype=np.uint64)
     all_bits = _U64((1 << m) - 1)
     with np.errstate(over="ignore"):
-        keys = _U64(seed & 0xFFFFFFFFFFFFFFFF) + np.arange(1, m + 1, dtype=np.uint64) * _GAMMA
+        keys = _U64(seed) + np.arange(1, m + 1, dtype=np.uint64) * _GAMMA
         _mix64(keys, np.empty(m, dtype=np.uint64))
         # clock c enters as c * _GAMMA; each block steps every clock by width
         clocks = np.arange(1, width + 1, dtype=np.uint64)
@@ -289,7 +290,8 @@ def generate_reference_system(m: int, t: int, seed: int) -> ReferenceSystem:
     Deterministic: calling twice with equal arguments yields bit-identical
     traces. Distinct (i, t) draws come from independent counter positions
     of a 64-bit mixing stream, so distinct traces are statistically
-    independent by construction.
+    independent by construction. Any integer seed is reduced modulo 2^64
+    and stored reduced, so seeds equal modulo 2^64 give equal systems.
     """
     if m < 1 or t < 1:
         raise DimensionError("need at least 1 noise-bit and 1 clock cycle")
@@ -298,6 +300,7 @@ def generate_reference_system(m: int, t: int, seed: int) -> ReferenceSystem:
             f"m={m} exceeds the engine limit of {MAX_NOISE_BITS} noise-bits "
             "(superposition amplitudes are stored as signed 64-bit integers)"
         )
+    seed = operator.index(seed) % (1 << 64)
     return ReferenceSystem(m=m, t=t, seed=seed, negative_masks=_negative_masks(seed, m, t))
 
 

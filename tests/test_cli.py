@@ -389,6 +389,22 @@ def test_error_paths(tmp_path, capsys, line, code, message):
         assert not (tmp_path / "out").exists()
 
 
+def test_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
+    # a T numpy cannot allocate; the allocation is faked, never attempted
+    def exhausted(m, t, seed):
+        raise MemoryError("Unable to allocate 745. GiB for an array with shape (100000000000,)")
+
+    monkeypatch.setattr("noiselogic.cli.generate_reference_system", exhausted)
+    code, out, err = run(capsys, "refs", "--t", 10**11, "--out", tmp_path / "out")
+    assert code == 2
+    assert err == (
+        "error: out of memory: Unable to allocate 745. GiB for an array with shape "
+        "(100000000000,)\n"
+    )
+    assert "Traceback" not in out + err
+    assert not (tmp_path / "out").exists()
+
+
 class TestSeedHandling:
     def test_env_override(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("NOISELOGIC_SEED", "99")

@@ -1,11 +1,14 @@
 """Gate set: worked examples, Boolean semantics, targeted forms."""
 
+import numpy as np
 import pytest
 
 from noiselogic import (
+    AmplitudeOverflowError,
     BitString,
     LengthMismatchError,
     TargetIndexError,
+    Trace,
     apply_not,
     decode_product,
     generate_reference_system,
@@ -193,3 +196,52 @@ class TestCrossGateIdentities:
         a, b = synthesize(sys4, "1001"), synthesize(sys4, "0011")
         assert xor_pair(a, b) == xor_pair(b, a)
         assert xnor_pair(sys4, a, b) == xnor_pair(sys4, b, a)
+
+
+# every signal gate that takes a reference system, as (call(sys, operands, i),
+# its operand count, whether it takes a noise-bit target i, and whether its
+# operand is the constant 1, so that it returns its input uncopied)
+SIGNAL_GATES = {
+    "not_operator": (lambda sys, ops, i: not_operator(sys, {i}), 0, True, False),
+    "apply_not": (lambda sys, ops, i: apply_not(sys, {i}, *ops), 1, True, False),
+    "xnor_pair": (lambda sys, ops, i: xnor_pair(sys, *ops), 2, False, False),
+    "xor_targeted-p0": (lambda sys, ops, i: xor_targeted(sys, *ops, i, 0), 1, True, True),
+    "xor_targeted-p1": (lambda sys, ops, i: xor_targeted(sys, *ops, i, 1), 1, True, False),
+    "xnor_targeted-p0": (lambda sys, ops, i: xnor_targeted(sys, *ops, i, 0), 1, True, False),
+    "xnor_targeted-p1": (lambda sys, ops, i: xnor_targeted(sys, *ops, i, 1), 1, True, True),
+}
+
+
+def _with_peak(t: int, peak: int) -> Trace:
+    samples = np.ones(t, dtype=np.int64)
+    samples[t // 2] = peak
+    return Trace(samples)
+
+
+@pytest.mark.parametrize(
+    "call,arity,targeted,passes_through", SIGNAL_GATES.values(), ids=SIGNAL_GATES
+)
+def test_gate_kernel_checks(sys4, call, arity, targeted, passes_through):
+    good = sys4.high(2)
+    short = generate_reference_system(4, 64, seed=17).high(1)
+    for k in range(arity):  # each operand short in turn, its length named first
+        operands = [good] * arity
+        operands[k] = short
+        with pytest.raises(LengthMismatchError, match=r"trace lengths differ: 64 != 128$"):
+            call(sys4, operands, 1)
+
+    if arity == 2:  # amplitudes 2^62 and 2: the product reaches 2^63
+        with pytest.raises(AmplitudeOverflowError):
+            call(sys4, [_with_peak(128, 2**62), _with_peak(128, 2)], 1)
+    elif arity == 1:
+        lowest = _with_peak(128, -(2**63))  # its sign flip would wrap
+        if passes_through:
+            assert call(sys4, [lowest], 1) is lowest
+        else:
+            with pytest.raises(AmplitudeOverflowError):
+                call(sys4, [lowest], 1)
+
+    if targeted:
+        for i in (0, sys4.m + 1):
+            with pytest.raises(TargetIndexError):
+                call(sys4, [good] * arity, i)

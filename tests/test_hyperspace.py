@@ -21,6 +21,7 @@ from noiselogic import (
     synthesize,
     universe,
 )
+from noiselogic.cli import _parse_literal
 
 
 @pytest.fixture
@@ -29,42 +30,45 @@ def sys4():
 
 
 class TestBitString:
+    # BitString holds no algebra of its own: its bits, high indices, XOR and
+    # complement are ProductTerm's, through to_term()
     def test_text_round_trip(self):
         s = BitString.from_text("1100")
         assert s.text == "1100"
         assert s.value == 12
-        assert s.bits == (1, 1, 0, 0)
-        assert s.high_indices == frozenset({1, 2})
+        assert s.to_term().text() == "1100"
+        assert s.to_term().indices == frozenset({1, 2})
 
+    # the CLI's bit-string literal grammar, which parses to a ProductTerm
     def test_parse_forms(self):
-        assert BitString.parse("1100") == BitString(4, 12)
-        assert BitString.parse("0b1100", width=6) == BitString(6, 12)
-        assert BitString.parse("12", width=4) == BitString(4, 12)
+        assert _parse_literal("1100") == BitString(4, 12).to_term()
+        assert _parse_literal("0b1100", width=6) == BitString(6, 12).to_term()
+        assert _parse_literal("12", width=4) == BitString(4, 12).to_term()
 
     def test_parse_needs_width_for_numbers(self):
         with pytest.raises(WidthMismatchError):
-            BitString.parse("12")
+            _parse_literal("12")
         with pytest.raises(WidthMismatchError):
-            BitString.parse("0b101")
+            _parse_literal("0b101")
 
     def test_parse_rejects_conflicting_width(self):
         with pytest.raises(WidthMismatchError):
-            BitString.parse("1100", width=5)
+            _parse_literal("1100", width=5)
 
     @pytest.mark.parametrize("text", ["0b12", "0b", "0B", "0bx1", "²", "1²", "٣", "0b1_0"])
     def test_parse_rejects_malformed_literals(self, text):
         # the grammar is ASCII only: int() would accept "٣" (an Arabic-Indic 3) and "0b1_0"
         with pytest.raises(WidthMismatchError, match="cannot parse bit string"):
-            BitString.parse(text, width=4)
+            _parse_literal(text, width=4)
 
     def test_value_range(self):
         with pytest.raises(WidthMismatchError):
             BitString(3, 8)
 
     def test_xor_and_complement(self):
-        a, b = BitString.from_text("1100"), BitString.from_text("1010")
-        assert (a ^ b).text == "0110"
-        assert (a ^ b).complement().text == "1001"
+        a, b = BitString.from_text("1100").to_term(), BitString.from_text("1010").to_term()
+        assert (a * b).text() == "0110"
+        assert (a * b * ProductTerm.ones(4)).text() == "1001"
 
     def test_term_round_trip(self):
         s = BitString.from_text("10110")

@@ -49,7 +49,7 @@ def system_and_strings(draw, n_strings=2):
 def test_xor_pair_decodes_to_bitwise_xor(case):
     sys, (a, b) = case
     out = xor_pair(synthesize(sys, a), synthesize(sys, b))
-    assert decode_product(sys, out) == (a ^ b)
+    assert decode_product(sys, out).to_term() == a.to_term() * b.to_term()
 
 
 @settings(max_examples=60, deadline=None)
@@ -57,7 +57,8 @@ def test_xor_pair_decodes_to_bitwise_xor(case):
 def test_xnor_pair_decodes_to_bitwise_xnor(case):
     sys, (a, b) = case
     out = xnor_pair(sys, synthesize(sys, a), synthesize(sys, b))
-    assert decode_product(sys, out) == (a ^ b).complement()
+    ones = ProductTerm.ones(sys.m)
+    assert decode_product(sys, out).to_term() == a.to_term() * b.to_term() * ones
 
 
 @settings(max_examples=60, deadline=None)

@@ -85,6 +85,15 @@ def test_system_equality_follows_arguments():
     assert a != generate_reference_system(3, 64, seed=6)
 
 
+@pytest.mark.parametrize("seed,reduced", [(-1, 2**64 - 1), (2**64 + 5, 5), (-(2**70), 0)])
+def test_seed_is_reduced_modulo_2_64(seed, reduced):
+    # the generator only sees the seed modulo 2^64, so equality must too
+    a, b = generate_reference_system(4, 64, seed), generate_reference_system(4, 64, reduced)
+    assert a.seed == reduced
+    assert a == b and hash(a) == hash(b)
+    assert np.array_equal(a.negative_masks, b.negative_masks)
+
+
 def test_generation_minimal():
     sys = generate_reference_system(1, 1, seed=3)
     assert sys.high(1).t == 1
