@@ -136,7 +136,14 @@ def _parse_literal(text: str, width: int | None = None) -> ProductTerm:
         return ProductTerm.from_text(plain)
     if width is None:
         raise WidthMismatchError(f"{text!r} needs an explicit width")
-    return ProductTerm.from_value(width, int(binary, 2) if binary is not None else int(decimal))
+    if binary is not None:
+        return ProductTerm.from_value(width, int(binary, 2))
+    digits = decimal.lstrip("0") or "0"
+    # every width's values lie below 10^19: refuse a longer decimal before
+    # int(), which refuses one of more than 4300 digits with a ValueError
+    if len(digits) > 19:
+        raise WidthMismatchError(f"a {len(digits)}-digit decimal does not fit in {width} bits")
+    return ProductTerm.from_value(width, int(digits))
 
 
 def _infer_width(operands: list[list[tuple[int, str]]], m: int | None) -> int:

@@ -12,9 +12,8 @@ order and any sample is addressable in O(1).
 
 from __future__ import annotations
 
-import array
-import io
 import json
+import json.scanner
 import operator
 import re
 from dataclasses import dataclass, field
@@ -459,40 +458,193 @@ def trace_to_csv(trace: Trace) -> str:
     return f"{CSV_HEADER}\n" + _decimal_rows(clocks, b",", trace.samples, b"\n")
 
 
+#: Byte classes of the decimal-field kernel. The low nibble says what a
+#: byte is: a digit (1), a sign (2) or a separator (4), plus 8 for the
+#: digit 0 in a grammar that refuses leading zeros; whitespace counts as
+#: digit, sign and separator at once, so that anything may follow it. The
+#: high nibble says what may precede the byte. Every other byte is 0: it
+#: may follow nothing, and nothing may follow it.
+_DIGIT, _ZERO, _SIGN, _SEPARATOR, _SPACE = 0x71, 0x79, 0x42, 0x14, 0x57
+
+
+def _byte_classes(signs: bytes, spaces: bytes, zero: int) -> bytes:
+    """The ``bytes.translate`` table of one field grammar."""
+    table = bytearray(256)
+    table[ord("0") : ord("9") + 1] = bytes([zero] + [_DIGIT] * 9)
+    for byte in signs:
+        table[byte] = _SIGN
+    for byte in spaces:
+        table[byte] = _SPACE
+    table[ord(",")] = _SEPARATOR
+    return bytes(table)
+
+
+_JSON_SPACES = b" \t\n\r"
+#: CSV fields take either sign and leading zeros; the CSV reader has
+#: turned its whitespace into spaces and its line ends into commas.
+_CSV_CLASSES = _byte_classes(b"+-", b" ", _DIGIT)
+#: JSON integers take no + and no leading zero, amid JSON whitespace.
+_JSON_CLASSES = _byte_classes(b"-", _JSON_SPACES, _ZERO)
+#: |v| from which a parsed value is compared with its field's text:
+#: ``np.fromstring`` saturates a value past int64 instead of refusing it.
+_EXACT_FROM = 10**18
+
+
+class _FieldError(ValueError):
+    """A field list that breaks its grammar; ``field`` counts from 0."""
+
+    def __init__(self, text: bytes, field: int, reason: str):
+        shown = text.split(b",")[field].strip().decode("ascii", "replace")
+        super().__init__(f"{shown!r} {reason}")
+        self.field = field
+
+
+def _field_count(text: bytes, classes: bytes) -> int:
+    """How many fields ``text`` holds, once every byte of it is checked
+    against the field grammar of ``classes`` (see :func:`_decimal_fields`).
+
+    One ``bytes.translate`` maps the text to byte classes. Every byte is
+    checked against the one before it, every whitespace run against the
+    bytes on either side (a separator on exactly one side), and every
+    ``_ZERO`` against its neighbours (no digit after a leading one).
+    """
+    # framed by separators, so that the first and the last field are checked alike
+    cls = (b"," + text + b",").translate(classes)
+    k = np.frombuffer(cls, dtype=np.uint8)
+    space = k == _SPACE
+    spaced = bool(space.any())
+    if spaced and (space[1:] & space[:-1]).any():  # one byte for each whitespace run
+        run = bytes([_SPACE, _SPACE])
+        while run in cls:
+            cls = cls.replace(run, run[1:])
+        k = np.frombuffer(cls, dtype=np.uint8)
+        space = k == _SPACE
+    follows = k[1:] >> 4
+    follows &= k[:-1]  # 0 where a byte may not follow the one before it
+    faults = [] if follows.all() else [int(follows.argmin()) + 1]
+    del follows
+    separator = k == _SEPARATOR
+    if spaced:
+        inside = space[1:-1] & (separator[:-2] == separator[2:])
+        if inside.any():
+            faults.append(int(inside.argmax()) + 1)
+    if classes[ord("0")] == _ZERO:
+        leading = k[1:-1] == _ZERO
+        leading &= (k[:-2] | 8) != _ZERO  # after no digit
+        leading &= (k[2:] | 8) == _ZERO  # before a digit
+        if leading.any():
+            faults.append(int(leading.argmax()) + 1)
+    if faults:
+        field = np.count_nonzero(separator[: min(faults)]) - 1
+        raise _FieldError(text, field, "is not a decimal integer")
+    return int(np.count_nonzero(separator)) - 1
+
+
+def _decimal_fields(text: bytes, classes: bytes) -> np.ndarray:
+    """Every comma-separated field of ASCII ``text`` as int64.
+
+    The reader-side twin of :func:`_decimal_rows`. A field is an optional
+    sign and decimal digits in int64, with whitespace allowed only around
+    it; ``classes`` says which signs and whitespace bytes it admits and
+    whether a leading zero is refused, as JSON does. The whole grammar is
+    checked first (:func:`_field_count`), because ``np.fromstring``
+    accepts ``- 1`` and a trailing comma. Then one ``np.fromstring`` call
+    parses every field, and each value with |v| >= 10^18 is compared
+    exactly with its field's text, because ``np.fromstring`` saturates a
+    value past int64. A text of whitespace alone is an empty list; any
+    other fault raises :class:`_FieldError`.
+    """
+    if not text.strip(_JSON_SPACES):
+        return np.empty(0, dtype=np.int64)
+    # every field is checked, so np.fromstring reads exactly ``count`` of
+    # them into one array it need not grow (past a short read it would
+    # return unset values instead of refusing, so the count must be exact)
+    values = np.fromstring(text, dtype=np.int64, count=_field_count(text, classes), sep=",")
+    if values.max() >= _EXACT_FROM or values.min() <= -_EXACT_FROM:
+        texts = text.split(b",")
+        for k in np.flatnonzero((values >= _EXACT_FROM) | (values <= -_EXACT_FROM)).tolist():
+            field = texts[k].strip()
+            digits = field.lstrip(b"+-").lstrip(b"0") or b"0"
+            sign = -1 if field.startswith(b"-") else 1
+            if len(digits) > 19 or sign * int(digits) != values[k]:
+                raise _FieldError(text, k, "lies outside the int64 range")
+    return values
+
+
+#: What the CSV reader hands the kernel: LF, which ends a row, becomes a
+#: field separator, and ASCII whitespace becomes a space.
+_CSV_FLAT = bytes.maketrans(b"\n\t\x0b\x0c\x1c\x1d\x1e\x1f", b", " + b" " * 6)
+#: Every byte a CSV row may hold besides its separators.
+_CSV_FIELD_BYTES = b"0123456789+- \t\x0b\x0c\x1c\x1d\x1e\x1f"
+_MALFORMED = "malformed row after the header"
+
+
+def _csv_rows(skeleton: bytes) -> int | None:
+    """How many rows there are when the separators, in order, are
+    ``skeleton`` and every row is ``clock,amplitude``; otherwise None."""
+    rows = len(skeleton) // 2 + 1
+    return rows if skeleton == (b",\n" * rows)[:-1] else None
+
+
+def _csv_shape_error(skeleton: bytes) -> TraceParseError:
+    """Why rows of fields whose separators, in order, are ``skeleton``
+    are not ``clock,amplitude`` rows."""
+    widths = [seps.count(b",") + 1 for seps in skeleton.split(b"\n")]
+    if len(set(widths)) == 1:
+        return TraceParseError(f"expected 2 columns 'clock,amplitude', got {widths[0]}")
+    row = next(row for row, width in enumerate(widths) if width != 2)
+    return TraceParseError(f"{_MALFORMED}: row {row} has {widths[row]} fields")
+
+
 def trace_from_csv(text: str) -> Trace:
     """Parse the CSV form: the header, then one ``clock,amplitude`` row per
     clock from 0.
 
     Empty lines are skipped and LF, CRLF or CR line ends are accepted; a
-    line holding only spaces is refused. A field is an optional sign and
-    ASCII decimal digits (no ``_`` separators), with optional spaces around
-    it, in the int64 range. The rows are parsed by numpy's C reader in one
-    call and the clock column is checked in one comparison.
+    line holding only whitespace is refused. A field is an optional sign
+    and ASCII decimal digits (no ``_`` separators), with optional ASCII
+    whitespace around it, in the int64 range. Every field is parsed by the
+    :func:`_decimal_fields` kernel in one pass over the text, then the
+    rows' separators and the clock column are checked in one comparison
+    each.
     """
     head = _CSV_HEAD.match(text)
     if head is None:
         raise TraceParseError(f"expected header {CSV_HEADER!r}")
     body = text[head.end() :]
-    if not body or body.isspace():  # loadtxt would only warn and return no rows
+    if not body or body.isspace():
         raise TraceParseError("trace has no samples")
     try:
-        # comments=None: the default "#" would accept "0,1 # note" silently
-        rows = np.loadtxt(
-            io.StringIO(body, newline=None),
-            delimiter=",",
-            dtype=np.int64,
-            comments=None,
-            ndmin=2,
-        )
-    except ValueError as exc:
-        raise TraceParseError(f"malformed row after the header: {exc}") from exc
-    if rows.shape[1] != 2:
-        raise TraceParseError(f"expected 2 columns 'clock,amplitude', got {rows.shape[1]}")
-    wrong = rows[:, 0] != np.arange(rows.shape[0])
+        data = body.encode("ascii")
+    except UnicodeEncodeError as exc:
+        raise TraceParseError(f"{_MALFORMED}: non-ASCII character {body[exc.start]!r}") from None
+    del body
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    data = data.strip(b"\n")
+    # the separators in order, once the kernel has checked every other byte
+    skeleton = data.translate(None, _CSV_FIELD_BYTES)
+    rows = _csv_rows(skeleton)
+    if rows is None and b"\n\n" in data:  # empty lines between rows
+        while b"\n\n" in data:
+            data = data.replace(b"\n\n", b"\n")
+        skeleton = data.translate(None, _CSV_FIELD_BYTES)
+        rows = _csv_rows(skeleton)
+    data = data.translate(_CSV_FLAT)
+    try:
+        values = _decimal_fields(data, _CSV_CLASSES)
+    except _FieldError as exc:
+        seps = re.sub(rb"[^,\n]", b"", skeleton)[: exc.field]
+        row, column = seps.count(b"\n"), len(seps) - seps.rfind(b"\n")
+        raise TraceParseError(f"{_MALFORMED}: row {row}, column {column}: {exc}") from None
+    if rows is None:
+        raise _csv_shape_error(skeleton)
+    clocks = values[0::2]
+    wrong = clocks != np.arange(rows)
     if wrong.any():
         row = int(wrong.argmax())
-        raise TraceParseError(f"row {row}: clock column reads {rows[row, 0]}")
-    return _adopt(np.ascontiguousarray(rows[:, 1]))
+        raise TraceParseError(f"row {row}: clock column reads {clocks[row]}")
+    return _adopt(values[1::2].copy())
 
 
 def trace_to_json(trace: Trace) -> str:
@@ -503,34 +655,64 @@ def trace_to_json(trace: Trace) -> str:
     return f'{head}, "samples": [{samples}]}}\n'
 
 
+def _json_array(s_and_end: tuple[str, int], scan_once):
+    """``parse_array`` of the trace reader's JSON decoder: an array of JSON
+    integers within int64 becomes an int64 array through
+    :func:`_decimal_fields`; any other array is json's own list."""
+    s, end = s_and_end
+    # an integer list ends at the first "]", before any "[": searching no
+    # further keeps deeply nested arrays linear
+    nested = s.find("[", end)
+    close = s.find("]", end, len(s) if nested < 0 else nested)
+    if close >= 0:
+        try:
+            return _decimal_fields(s[end:close].encode("ascii"), _JSON_CLASSES), close + 1
+        except (UnicodeEncodeError, _FieldError):
+            pass
+    return json.decoder.JSONArray(s_and_end, scan_once)
+
+
+_JSON_DECODER = json.JSONDecoder()
+_JSON_DECODER.parse_array = _json_array
+_JSON_DECODER.scan_once = json.scanner.py_make_scanner(_JSON_DECODER)
+
+
 def trace_from_json(text: str) -> Trace:
+    """Parse the JSON form: an object whose ``samples`` key holds a
+    non-empty array of JSON integers in int64, with an optional string or
+    null ``label`` and an optional integer ``T`` equal to the sample
+    count. Integer arrays are parsed by the :func:`_decimal_fields`
+    kernel; the rest of the document is json's own, duplicate keys
+    included (the last one wins)."""
     try:
-        payload = json.loads(text)
+        payload = _JSON_DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise TraceParseError(f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise TraceParseError("invalid JSON: nested too deeply") from None
     if not isinstance(payload, dict) or "samples" not in payload:
         raise TraceParseError("expected an object with a 'samples' array")
     samples = payload["samples"]
-    if not isinstance(samples, list):
+    if not isinstance(samples, np.ndarray):
+        # json's own list holds a value that is no JSON integer in int64:
+        # the first such value names the fault, unless a JSON boolean does
+        if isinstance(samples, list) and not any(type(v) is bool for v in samples):
+            in_range = range(-INT64_HEADROOM, INT64_HEADROOM)
+            first = next((v for v in samples if type(v) is not int or v not in in_range), None)
+            if type(first) is int:
+                raise TraceParseError("an amplitude lies outside the int64 range")
         raise TraceParseError("'samples' must be an array of integers")
-    # JSON true/false load as bool, a subclass of int that array("q") takes
-    if ("true" in text or "false" in text) and any(v is True or v is False for v in samples):
-        raise TraceParseError("'samples' must be an array of integers")
-    try:
-        # array("q") refuses float, str, None, list and dict with TypeError
-        words = array.array("q", samples)
-    except TypeError as exc:
-        raise TraceParseError("'samples' must be an array of integers") from exc
-    except OverflowError as exc:
-        raise TraceParseError("an amplitude lies outside the int64 range") from exc
     label = payload.get("label")
     if label is not None and not isinstance(label, str):
         raise TraceParseError("'label' must be a string or null")
-    if not words:
+    if not samples.size:
         raise TraceParseError("trace has no samples")
-    trace = _adopt(np.frombuffer(words, dtype=np.int64), label)
-    if "T" in payload and (type(payload["T"]) is not int or payload["T"] != trace.t):
-        raise TraceParseError(f"declared T={payload['T']!r} but {trace.t} samples present")
+    trace = _adopt(samples, label)
+    declared = payload.get("T", trace.t)
+    if type(declared) is not int or declared != trace.t:
+        if isinstance(declared, np.ndarray):  # an integer array, shown as json's list
+            declared = declared.tolist()
+        raise TraceParseError(f"declared T={declared!r} but {trace.t} samples present")
     return trace
 
 

@@ -368,6 +368,12 @@ ERROR_PATH_TABLE = {
     "compare-lengths-differ": (
         "compare {dir}/short.csv {dir}/long.csv", 3, "lengths differ: 64 != 128"
     ),
+    # past int()'s 4300-digit limit; any width's values have at most 19 digits
+    "decimal-5000-digits": (
+        f"gate xor --a {'9' * 5000} --b 0b1 --m 4", 2, "5000-digit decimal does not fit"
+    ),
+    "decimal-leading-zeros": (f"gate xor --a {'0' * 5000}3 --b 0b1 --m 4", 0, "oracle:"),
+    "json-nested-too-deeply": ("compare {dir}/deep.json {dir}/deep.json", 4, "nested too deeply"),
 }
 
 
@@ -377,6 +383,7 @@ ERROR_PATH_TABLE = {
 def test_error_paths(tmp_path, capsys, line, code, message):
     write_trace(generate_reference_system(4, 128, seed=1).high(1), tmp_path / "long.csv")
     write_trace(generate_reference_system(4, 64, seed=1).high(1), tmp_path / "short.csv")
+    (tmp_path / "deep.json").write_text('{"samples": ' + "[" * 100000)
     argv = [a.format(dir=tmp_path) for a in line.split()]
     if argv[0] == "gate":
         argv += ["--out", tmp_path / "out"]

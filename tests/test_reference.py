@@ -1,5 +1,6 @@
 """Reference noise system: generation, algebra, orthogonality, serialization."""
 
+import array
 import hashlib
 import itertools
 import json
@@ -435,6 +436,11 @@ def test_json_parse_failures(text):
         trace_from_json(text)
 
 
+def test_json_nesting_past_the_recursion_limit_is_a_parse_failure():
+    with pytest.raises(TraceParseError, match="nested too deeply"):
+        trace_from_json('{"samples": ' + "[" * 100000)
+
+
 def test_json_reader_takes_integers_beside_a_true_label():
     # "true" in the text makes the reader look for booleans; there are none
     trace = trace_from_json('{"label": "true", "samples": [1, 0, -9223372036854775808]}')
@@ -482,6 +488,26 @@ CSV_READER_TABLE = {
     "wrong-clock": (HEADER + "0,1\n1,1\n5,1\n3,1\n", "row 2: clock column reads 5"),
     "int64-max-plus-1": (HEADER + f"0,{INT64_MAX + 1}\n", MALFORMED),
     "int64-min-minus-1": (HEADER + f"0,{INT64_MIN - 1}\n", MALFORMED),
+    # inputs np.fromstring alone would read differently
+    "space-after-sign": (HEADER + "0,- 1\n", MALFORMED),
+    "trailing-comma": (HEADER + "0,1,\n", MALFORMED),
+    "space-inside-field": (HEADER + "0,1 2\n", MALFORMED),
+    "two-signs": (HEADER + "0,+-1\n", MALFORMED),
+    "sign-after-digits": (HEADER + "0,1-\n", MALFORMED),
+    "double-plus": (HEADER + "0,++1\n", MALFORMED),
+    "sign-alone": (HEADER + "0,-\n", MALFORMED),
+    "sign-then-space": (HEADER + "0,+ \n", MALFORMED),
+    "leading-zero": (HEADER + "0,01\n", [1]),
+    "leading-zero-clock": (HEADER + "00,1\n", [1]),
+    "minus-zero": (HEADER + "0,-0\n", [0]),
+    "minus-zero-clock": (HEADER + "-0,5\n", [5]),
+    "tab-before-field": (HEADER + "0,\t1\n", [1]),
+    "space-before-comma": (HEADER + "0 ,1\n", [1]),
+    "long-leading-zeros": (HEADER + f"0,-{'0' * 30}{-INT64_MIN}\n", [INT64_MIN]),
+    "digits-past-int64": (HEADER + f"0,{'9' * 5000}\n", MALFORMED),
+    # only ASCII whitespace surrounds a field, and no other letter is a digit
+    "non-ascii-space": (HEADER + "0,\u00a01\n", MALFORMED),
+    "non-ascii-letter": (HEADER + "0,\u01fe1\n", MALFORMED),
 }
 
 
@@ -550,3 +576,82 @@ def test_csv_reader_agrees_with_row_parser(samples, blank_after, newline, traili
             trace_from_csv(text)
     else:
         assert trace_from_csv(text) == expected
+
+
+# -- the JSON reader ----------------------------------------------------------
+
+
+def _json_reference(text: str) -> Trace:
+    """Reference JSON reader built on ``json.loads`` and ``array("q")``.
+    ``trace_from_json`` must agree with it: the same samples and label, or
+    both refuse."""
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise TraceParseError("invalid JSON") from exc
+    if not isinstance(payload, dict) or not isinstance(payload.get("samples"), list):
+        raise TraceParseError("expected an object with a 'samples' array")
+    samples = payload["samples"]
+    if any(type(v) is bool for v in samples):  # array("q") would take them as 0 and 1
+        raise TraceParseError("'samples' must be an array of integers")
+    try:
+        words = array.array("q", samples)
+    except (TypeError, OverflowError) as exc:
+        raise TraceParseError("'samples' must be an array of int64 integers") from exc
+    label = payload.get("label")
+    if (label is not None and not isinstance(label, str)) or not words:
+        raise TraceParseError("bad label or no samples")
+    declared = payload.get("T", len(words))
+    if type(declared) is not int or declared != len(words):
+        raise TraceParseError("declared T differs")
+    return Trace(np.frombuffer(words, dtype=np.int64), label)
+
+
+# JSON integers in int64, and tokens that are none (or, as -0, only one of them)
+json_integers = st.one_of(
+    st.integers(min_value=INT64_MIN, max_value=INT64_MAX),
+    st.sampled_from([INT64_MIN, INT64_MAX, INT64_MIN + 1, INT64_MAX - 1, 0, 1, -1]),
+).map(str)
+json_tokens = st.sampled_from([
+    str(INT64_MIN - 1), str(INT64_MAX + 1), "-0", "00", "01", "-01", "+1", "1.0", "1e3",
+    "true", "false", "null", "NaN", "Infinity", "[]", "[1]", "{}", '"1"', "- 1",
+])
+json_space = st.sampled_from(["", " ", "\n", "\t", "\r", " \n\t\r"])
+
+
+@st.composite
+def json_arrays(draw):
+    """Half of them integer lists, the rest with tokens mixed in."""
+    values = json_integers if draw(st.booleans()) else st.one_of(json_integers, json_tokens)
+    items = draw(st.lists(st.tuples(json_space, values, json_space), max_size=12))
+    return "[" + ",".join(a + v + b for a, v, b in items) + draw(json_space) + "]"
+
+
+@st.composite
+def json_documents(draw):
+    members = [("samples", draw(json_arrays()))]
+    for key, value in [
+        ("samples", json_arrays()),  # a duplicate key: the last one wins
+        ("label", st.sampled_from(["null", '"x"', '"\\u00e9\\n\\"[1]"', '"\u03bb"', "1"])),
+        ("T", st.sampled_from(["0", "1", "2", "3", "true", "1.0", "[1]"])),
+        ("nested", json_arrays().map(lambda a: '{"samples": ' + a + "}")),
+    ]:
+        if draw(st.booleans()):
+            members.append((key, draw(value)))
+    members = draw(st.permutations(members))
+    comma = draw(st.sampled_from([",", ", ", ",\n  ", "\t,\r"]))
+    colon = draw(st.sampled_from([":", ": ", " :\n"]))
+    return "{" + comma.join(f'"{k}"{colon}{v}' for k, v in members) + "}" + draw(json_space)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=json_documents())
+def test_json_reader_agrees_with_json_reference(text):
+    try:
+        expected = _json_reference(text)
+    except TraceParseError:
+        with pytest.raises(TraceParseError):
+            trace_from_json(text)
+    else:
+        got = trace_from_json(text)
+        assert got == expected and got.label == expected.label
