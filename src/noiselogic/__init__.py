@@ -67,7 +67,7 @@ from .reference import (
     write_trace,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "AgreementReport",

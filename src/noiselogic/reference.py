@@ -5,9 +5,11 @@ discrete-time signal whose sample at each clock cycle is +1 or -1 with
 probability 0.5. The logic-low state is squeezed to the constant 1 and is
 never stored; operations treat it as the multiplicative identity.
 
-Generation is counter-based: sample (i, t) is a pure function of
-(seed, i, t), so every trace is reproducible independently of generation
-order and any sample is addressable in O(1).
+Generation is counter-based: each clock t has one splitmix64 word, a pure
+function of (seed, t), and the M references at that clock are M bits of
+that one mixed word. Sample (i, t) is therefore a pure function of
+(seed, i, t), independent of M, so every trace is reproducible
+independently of generation order and any sample is addressable in O(1).
 """
 
 from __future__ import annotations
@@ -171,23 +173,16 @@ def multiply_traces(a: Trace, b: Trace) -> Trace:
     return _adopt(a.samples * b.samples)
 
 
-def _mix64_top(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer up to its last step, applied to ``x`` in
-    place; ``scratch`` is a same-shape buffer. The last step,
-    ``x ^= x >> 31``, leaves bit 63 as it is, so bit 63 is already final.
-    Wraparound is the point, so callers silence overflow."""
+def _mix64(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer, applied to ``x`` in place; ``scratch`` is a
+    same-shape buffer. Wraparound is the point, so callers silence
+    overflow."""
     np.right_shift(x, _U64(30), out=scratch)
     x ^= scratch
     x *= _MIX_C1
     np.right_shift(x, _U64(27), out=scratch)
     x ^= scratch
     x *= _MIX_C2
-    return x
-
-
-def _mix64(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer, applied to ``x`` in place (see _mix64_top)."""
-    _mix64_top(x, scratch)
     np.right_shift(x, _U64(31), out=scratch)
     x ^= scratch
     return x
@@ -213,35 +208,31 @@ def product_signs(masks, negatives: np.ndarray) -> np.ndarray:
 def _negative_masks(seed: int, m: int, t: int) -> np.ndarray:
     """Counter-based RTW streams packed per clock, for a seed in [0, 2^64).
 
-    Sample (index, clock) = f(seed, index, clock) is +1 iff the top bit of
-    its splitmix64 word is 1; bit (index-1) of word clock-1 is set iff the
-    sample is -1. The words are mixed one block of clocks at a time, so the
-    temporaries stay O(_GENERATION_BLOCK) whatever T is. Only bit 63 of
-    each word is computed, and the M top bits are inverted together.
+    With ``key = splitmix64(seed + GAMMA)``, clock c has the word
+    ``splitmix64(key + (c+1)*GAMMA)`` (all mod 2^64), and sample
+    (index, c) is -1 iff bit (index-1) of that word is 0: one mix per
+    clock supplies all M bits, and a sample does not depend on M. The
+    mask of clock c is the word's low M bits inverted. The words are
+    mixed in place one block of clocks at a time, so the temporaries stay
+    O(_GENERATION_BLOCK) whatever T is.
     """
-    masks = np.zeros(t, dtype=np.uint64)
+    masks = np.empty(t, dtype=np.uint64)
     width = min(t, _GENERATION_BLOCK)
-    words = np.empty(width, dtype=np.uint64)
     scratch = np.empty(width, dtype=np.uint64)
     all_bits = _U64((1 << m) - 1)
     with np.errstate(over="ignore"):
-        keys = _U64(seed) + np.arange(1, m + 1, dtype=np.uint64) * _GAMMA
-        _mix64(keys, np.empty(m, dtype=np.uint64))
-        # clock c enters as c * _GAMMA; each block steps every clock by width
-        clocks = np.arange(1, width + 1, dtype=np.uint64)
-        clocks *= _GAMMA
-        step = _U64(width) * _GAMMA
+        key = _mix64(np.array([seed], dtype=np.uint64) + _GAMMA, scratch[:1])
+        # key + (c+1)*GAMMA for the first block; block start s adds s*GAMMA
+        counters = np.arange(1, width + 1, dtype=np.uint64)
+        counters *= _GAMMA
+        counters += key
         for start in range(0, t, _GENERATION_BLOCK):
             block = masks[start : start + _GENERATION_BLOCK]
             n = block.size
-            if start:
-                clocks += step
-            for bit, key in enumerate(keys):
-                word = _mix64_top(np.add(clocks[:n], key, out=words[:n]), scratch[:n])
-                word >>= _U64(63)
-                word <<= _U64(bit)
-                block |= word
-            block ^= all_bits  # bit set = top bit 0 = sample -1
+            np.add(counters[:n], _U64(start) * _GAMMA, out=block)
+            _mix64(block, scratch[:n])
+            block &= all_bits
+            block ^= all_bits  # bit set = word bit 0 = sample -1
     masks.flags.writeable = False
     return masks
 
@@ -287,10 +278,14 @@ def generate_reference_system(m: int, t: int, seed: int) -> ReferenceSystem:
     """Generate the M orthogonal high-reference RTWs for (seed, m, t).
 
     Deterministic: calling twice with equal arguments yields bit-identical
-    traces. Distinct (i, t) draws come from independent counter positions
-    of a 64-bit mixing stream, so distinct traces are statistically
-    independent by construction. Any integer seed is reduced modulo 2^64
-    and stored reduced, so seeds equal modulo 2^64 give equal systems.
+    traces. Each clock draws one word from a 64-bit splitmix64 counter
+    stream, and the M samples at that clock are M bits of that one mixed
+    word, so one mix serves every reference; the words of distinct clocks
+    come from distinct counter positions. A system of fewer bits holds the
+    first references of a wider one. Any integer seed is reduced modulo
+    2^64 and stored reduced, so seeds equal modulo 2^64 give equal systems.
+    The streams differ from those of version 0.1.0, which mixed one word
+    per reference and clock.
     """
     if m < 1 or t < 1:
         raise DimensionError("need at least 1 noise-bit and 1 clock cycle")

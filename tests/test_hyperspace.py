@@ -22,6 +22,7 @@ from noiselogic import (
     universe,
 )
 from noiselogic.cli import _parse_literal
+from noiselogic.reference import product_signs
 
 
 @pytest.fixture
@@ -167,6 +168,35 @@ class TestUniverse:
         sys = generate_reference_system(3, 64, seed=13)
         total = superpose([synthesize(sys, BitString(3, n)) for n in range(8)])
         assert universe(sys) == total
+
+
+class TestBasisOrthogonality:
+    # the M references at a clock are M bits of one mixed word, so every
+    # product of them, not only each pair, must average out: |sum| <= 5*sqrt(T)
+    T = 2**16
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_product_state_at_m10(self, seed):
+        sys = generate_reference_system(10, self.T, seed)
+        # clocks per sign word, then sum_t sign_n(t) = sum_w count[w] * (-1)^parity(n & w)
+        counts = np.bincount(sys.negative_masks.astype(np.int64), minlength=1024)
+        states = np.arange(1024, dtype=np.uint64)
+        parity = np.bitwise_count(states[:, None] & states[None, :]) & np.uint64(1)
+        sums = (1 - 2 * parity.astype(np.int64)) @ counts
+        assert sums[0] == self.T
+        assert np.abs(sums[1:]).max() <= 5 * np.sqrt(self.T)
+        for n in (1, 0b1010000001, 1023):
+            term = ProductTerm(10, n)
+            assert int(product_trace(sys, term).samples.sum()) == sums[n]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_product_states_at_m62(self, seed):
+        sys = generate_reference_system(62, self.T, seed)
+        rng = np.random.default_rng(seed)
+        masks = rng.integers(1, 1 << 62, size=512, dtype=np.uint64)
+        for chunk in np.split(masks, 32):
+            sums = product_signs(chunk[:, None], sys.negative_masks).sum(axis=1)
+            assert np.abs(sums).max() <= 5 * np.sqrt(self.T)
 
 
 class TestRealize:

@@ -38,13 +38,55 @@ def test_generation_domain():
         assert set(np.unique(high.samples)) <= {-1, 1}
 
 
+# splitmix64 over Python ints (Steele, Lea & Flood, OOPSLA 2014): the
+# generator's definition, written without numpy
+_U64_MASK = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+def _splitmix64(x: int) -> int:
+    x &= _U64_MASK
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _U64_MASK
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _U64_MASK
+    return x ^ (x >> 31)
+
+
+def _oracle_sample(seed: int, i: int, clock: int) -> int:
+    """Sample (i, clock): -1 iff bit i-1 of the clock's word is 0."""
+    key = _splitmix64(seed + _GAMMA)
+    word = _splitmix64(key + (clock + 1) * _GAMMA)
+    return 1 if word >> (i - 1) & 1 else -1
+
+
+@pytest.mark.parametrize("m", [1, 33, 62])
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+def test_generation_matches_splitmix64_oracle(m, seed):
+    t = 2**16 + 3  # three generation blocks of 2^15 clocks, the last partial
+    sys = generate_reference_system(m, t, seed)
+    for clock in [0, 2**15 - 1, 2**15, 2**15 + 1, t - 1]:
+        word = int(sys.negative_masks[clock])
+        for i in range(1, m + 1):
+            expected = _oracle_sample(seed, i, clock)
+            assert (-1 if word >> (i - 1) & 1 else 1) == expected, (i, clock)
+        assert int(sys.high(m).samples[clock]) == _oracle_sample(seed, m, clock)
+
+
+@pytest.mark.parametrize("k", [1, 4, 33])
+def test_generation_does_not_depend_on_m(k):
+    # reference i comes from bit i-1 of the clock's word, whatever M is
+    t = 2**15 + 5
+    wide = generate_reference_system(62, t, seed=19).negative_masks
+    narrow = generate_reference_system(k, t, seed=19).negative_masks
+    assert np.array_equal(wide & np.uint64((1 << k) - 1), narrow)
+
+
 # SHA-256 of negative_masks.tobytes(): any change to the generator's stream
 # (mixing, key/clock arithmetic or bit packing) shows up here.
 GOLDEN_MASK_DIGESTS = {
-    (4, 128, 7): "72d2665194271b32c086e356b2408f85ab814c199ae9710e596255100f7e5592",
-    (62, 4096, 2**64 - 1): "9241082845230aff37a5fcef3faac514f1f1acdec2169e33d907be24641904df",
+    (4, 128, 7): "daa7387e4e3e10efa3a255cf65b0f656b3e310d602fa17b7bc2b8fc1f50eed09",
+    (62, 4096, 2**64 - 1): "5f92970ad9c0e76853377d186ee58b8473bd4c42b6286be85cb37ea4e51e02d8",
     # two full generation blocks of 2^15 clocks and a partial third
-    (62, 2**16 + 3, 11): "224478e6c7c75176e3f3f844ca5fb96624c6aec454c6685965318f578b7837fc",
+    (62, 2**16 + 3, 11): "05f48b1307d6740bce074a50cace9d2cd152d90b26435274628e35ee9378b947",
 }
 
 
