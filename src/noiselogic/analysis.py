@@ -17,14 +17,15 @@ import numpy as np
 
 from .errors import (
     AmbiguousDecodeError,
-    LengthMismatchError,
     NoMatchError,
     ScaleExceededError,
     SuperpositionDecodeError,
 )
 from .hyperspace import BitString, universe
 from .oracle import ProductTerm, SymbolicSuperposition
-from .reference import INT64_HEADROOM, ReferenceSystem, Trace, max_abs, product_signs
+from .reference import (
+    INT64_HEADROOM, ReferenceSystem, Trace, _require_length, max_abs, product_signs,
+)
 
 #: Most candidates an :class:`AmbiguousDecodeError` lists; each is a Python
 #: object, so past this only their count and the rank are reported.
@@ -51,8 +52,7 @@ def decode_product(sys: ReferenceSystem, x: Trace) -> BitString:
     mask order when there are at most :data:`MAX_LISTED_CANDIDATES`.
     Every answer is exact, for every M up to the engine's 62 noise-bits.
     """
-    if x.t != sys.t:
-        raise LengthMismatchError(f"trace length {x.t} != system length {sys.t}")
+    _require_length(sys.t, x)
     if not x.is_binary():
         raise NoMatchError("trace has samples outside {+1,-1}; not a product state")
 
@@ -148,8 +148,7 @@ def decode_superposition(sys: ReferenceSystem, y: Trace) -> SymbolicSuperpositio
             f"superposition decoding uses 2^M basis traces; capped at "
             f"M={MAX_DECODE_SUPERPOSITION_BITS}"
         )
-    if y.t != sys.t:
-        raise LengthMismatchError(f"trace length {y.t} != system length {sys.t}")
+    _require_length(sys.t, y)
 
     words = sys.negative_masks.astype(np.intp)
     coeffs = np.zeros(1 << sys.m, dtype=np.int64)
@@ -212,8 +211,7 @@ def agreement_stats(a: Trace, b: Trace) -> AgreementReport:
     agreement over T clocks has probability 0.5^T (reported as an exact
     float; it underflows to 0.0 for very large T).
     """
-    if a.t != b.t:
-        raise LengthMismatchError(f"trace lengths differ: {a.t} != {b.t}")
+    _require_length(a.t, b)
     matches = int(np.count_nonzero(a.samples == b.samples))
     return AgreementReport(
         rate=matches / a.t,
@@ -254,8 +252,7 @@ def universe_stats(sys: ReferenceSystem, u: Trace | None = None) -> UniverseStat
     """
     if u is None:
         u = universe(sys)
-    if u.t != sys.t:
-        raise LengthMismatchError(f"trace length {u.t} != system length {sys.t}")
+    _require_length(sys.t, u)
     # np.unique hashes int64 arrays; sorted, the distinct values are the
     # first of each run of equal neighbours
     ordered = np.sort(u.samples)

@@ -4,26 +4,19 @@ Every gate is a sample-wise multiplication, so outputs are valid at each
 clock cycle without time averaging, and each gate distributes over
 superpositions: applying it to a sum applies it to every component at
 once. Each gate that takes a reference system is one product state (a
-bit-mask) times its operands, computed by one kernel. Gates operate on
-traces only; their string-level truth tables are theorems checked by the
-test suite, not an implementation path.
+bit-mask) times its operands, computed by ``reference._product_state``,
+the kernel that builds every product-state trace and checks its
+operands' lengths and headroom. Gates operate on traces only; their
+string-level truth tables are theorems checked by the test suite, not an
+implementation path.
 """
 
 from __future__ import annotations
 
-from math import prod
 from typing import Iterable
 
-from .errors import LengthMismatchError, TargetIndexError
-from .reference import (
-    ReferenceSystem,
-    Trace,
-    _adopt,
-    check_headroom,
-    max_abs,
-    multiply_traces,
-    product_signs,
-)
+from .errors import TargetIndexError
+from .reference import ReferenceSystem, Trace, _product_state, _require_length, multiply_traces
 
 
 def _target_mask(sys: ReferenceSystem, targets: Iterable[int]) -> int:
@@ -37,21 +30,6 @@ def _target_mask(sys: ReferenceSystem, targets: Iterable[int]) -> int:
     return sum(1 << (i - 1) for i in ts)
 
 
-def _gate(sys: ReferenceSystem, mask: int, *operands: Trace, label: str | None = None) -> Trace:
-    """Product state ``mask`` times the operands, multiplied into the
-    product state's own sign array. Every operand must span the system's T
-    clocks; signs are +-1, so the product of the operands' max |amplitude|
-    bounds the result."""
-    for x in operands:
-        if x.t != sys.t:
-            raise LengthMismatchError(f"trace lengths differ: {x.t} != {sys.t}")
-    check_headroom(prod(max_abs(x) for x in operands), "product")
-    out = product_signs(mask, sys.negative_masks)
-    for x in operands:
-        out *= x.samples
-    return _adopt(out, label)
-
-
 def not_operator(sys: ReferenceSystem, targets: Iterable[int]) -> Trace:
     """The NOT signal for a target set: product of the targeted highs.
 
@@ -61,13 +39,13 @@ def not_operator(sys: ReferenceSystem, targets: Iterable[int]) -> Trace:
     """
     mask = _target_mask(sys, targets)
     bits = "".join(str(i) for i in range(1, sys.m + 1) if mask >> (i - 1) & 1)
-    return _gate(sys, mask, label="not_" + bits)
+    return _product_state(sys, mask, label="not_" + bits)
 
 
 def apply_not(sys: ReferenceSystem, targets: Iterable[int], signal: Trace) -> Trace:
     """Invert the targeted bits of every product state carried by ``signal``:
     ``signal`` times :func:`not_operator`."""
-    return _gate(sys, _target_mask(sys, targets), signal)
+    return _product_state(sys, _target_mask(sys, targets), signal)
 
 
 def xor_pair(a: Trace, b: Trace) -> Trace:
@@ -85,7 +63,7 @@ def xor_pair(a: Trace, b: Trace) -> Trace:
 
 def xnor_pair(sys: ReferenceSystem, a: Trace, b: Trace) -> Trace:
     """Pairwise XNOR: a * b * ones, with ones the all-high product string."""
-    return _gate(sys, (1 << sys.m) - 1, a, b)
+    return _product_state(sys, (1 << sys.m) - 1, a, b)
 
 
 def xor_targeted(sys: ReferenceSystem, signal: Trace, i: int, p: int) -> Trace:
@@ -99,9 +77,8 @@ def xor_targeted(sys: ReferenceSystem, signal: Trace, i: int, p: int) -> Trace:
     if p not in (0, 1):
         raise ValueError("bit value p must be 0 or 1")
     if p == 1:
-        return _gate(sys, mask, signal)
-    if signal.t != sys.t:  # returned without a copy, so checked here
-        raise LengthMismatchError(f"trace lengths differ: {signal.t} != {sys.t}")
+        return _product_state(sys, mask, signal)
+    _require_length(sys.t, signal)  # returned without a copy, so checked here
     return signal
 
 

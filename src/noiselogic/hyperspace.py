@@ -13,9 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, LengthMismatchError, WidthMismatchError
+from .errors import DimensionError, WidthMismatchError
 from .oracle import ProductTerm, SymbolicSuperposition
-from .reference import ReferenceSystem, Trace, _adopt, check_headroom, max_abs, product_signs
+from .reference import (
+    ReferenceSystem, Trace, _adopt, _check_clock_count, _product_state, _require_length,
+    check_headroom, max_abs, product_signs,
+)
 
 
 @dataclass(frozen=True)
@@ -55,7 +58,7 @@ def product_trace(sys: ReferenceSystem, term: ProductTerm) -> Trace:
     """
     if term.width != sys.m:
         raise WidthMismatchError(f"term width {term.width} != system width {sys.m}")
-    return _adopt(product_signs(term.mask, sys.negative_masks), term.text())
+    return _product_state(sys, term.mask, label=term.text())
 
 
 def synthesize(sys: ReferenceSystem, s: "BitString | str") -> Trace:
@@ -64,9 +67,8 @@ def synthesize(sys: ReferenceSystem, s: "BitString | str") -> Trace:
     Sample-wise product over the high bits' reference traces only; the
     all-zeros string synthesizes to the constant-1 vacuum trace.
     """
-    if isinstance(s, str):
-        s = BitString.from_text(s)
-    return product_trace(sys, s.to_term())
+    term = ProductTerm.from_text(s) if isinstance(s, str) else s.to_term()
+    return product_trace(sys, term)
 
 
 def superpose(traces: list[Trace], *, t: int | None = None) -> Trace:
@@ -78,13 +80,9 @@ def superpose(traces: list[Trace], *, t: int | None = None) -> Trace:
     if not traces:
         if t is None:
             raise DimensionError("superposing nothing requires an explicit clock count t")
-        return Trace(np.zeros(int(t), dtype=np.int64))  # refuses t < 1
-    length = traces[0].t
-    for tr in traces[1:]:
-        if tr.t != length:
-            raise LengthMismatchError(f"trace lengths differ: {length} != {tr.t}")
-    if t is not None and t != length:
-        raise LengthMismatchError(f"explicit t={t} != trace length {length}")
+        _check_clock_count(t)
+        return _adopt(np.zeros(int(t), dtype=np.int64))
+    _require_length(traces[0].t if t is None else t, *traces)
     check_headroom(sum(max_abs(tr) for tr in traces), "superposition")
     acc = traces[0].samples.copy()
     for tr in traces[1:]:

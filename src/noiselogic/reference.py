@@ -19,6 +19,7 @@ import json.scanner
 import operator
 import re
 from dataclasses import dataclass, field
+from math import prod
 from pathlib import Path
 from typing import Iterator
 
@@ -42,6 +43,8 @@ _MIX_C1 = _U64(0xBF58476D1CE4E5B9)
 _MIX_C2 = _U64(0x94D049BB133111EB)
 #: Clocks mixed per pass of the generator; 2^15 words (256 KiB) stay in cache.
 _GENERATION_BLOCK = 1 << 15
+#: Most clocks a trace can span: numpy indexes at most intp-max bytes.
+_MAX_CLOCKS = np.iinfo(np.intp).max // 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,7 +102,7 @@ class Trace:
     def __add__(self, other: "Trace") -> "Trace":
         if not isinstance(other, Trace):
             return NotImplemented
-        _require_same_length(self, other)
+        _require_length(self.t, other)
         check_headroom(max_abs(self) + max_abs(other), "sum")
         return _adopt(self.samples + other.samples)
 
@@ -137,9 +140,17 @@ def _adopt(samples: np.ndarray, label: str | None = None) -> Trace:
     return trace
 
 
-def _require_same_length(a: Trace, b: Trace) -> None:
-    if a.t != b.t:
-        raise LengthMismatchError(f"trace lengths differ: {a.t} != {b.t}")
+def _require_length(t: int, *traces: Trace) -> None:
+    """Refuse any trace that does not span ``t`` clocks; its length is named first."""
+    for x in traces:
+        if x.t != t:
+            raise LengthMismatchError(f"trace lengths differ: {x.t} != {t}")
+
+
+def _check_clock_count(t: int) -> None:
+    """Refuse a clock count below 1, or past the int64 traces numpy can index."""
+    if not 1 <= t <= _MAX_CLOCKS:
+        raise DimensionError(f"clock count {t} is outside 1..{_MAX_CLOCKS}")
 
 
 def max_abs(trace: Trace) -> int:
@@ -157,8 +168,7 @@ def check_headroom(bound: int, what: str) -> None:
 
 def low_reference(t: int, *, label: str | None = "low") -> Trace:
     """The squeezed logic-low reference: the constant trace of value 1."""
-    if t < 1:
-        raise DimensionError("clock count must be at least 1")
+    _check_clock_count(t)
     return _adopt(np.ones(int(t), dtype=np.int64), label)
 
 
@@ -168,7 +178,7 @@ def multiply_traces(a: Trace, b: Trace) -> Trace:
     The product of two RTWs is again an RTW, and the self-product of any
     RTW is the constant-1 vacuum trace.
     """
-    _require_same_length(a, b)
+    _require_length(a.t, b)
     check_headroom(max_abs(a) * max_abs(b), "product")
     return _adopt(a.samples * b.samples)
 
@@ -203,6 +213,18 @@ def product_signs(masks, negatives: np.ndarray) -> np.ndarray:
     signs *= -2
     signs += 1  # ... to sign 1 or -1
     return signs
+
+
+def _product_state(sys: ReferenceSystem, mask: int, *operands: Trace, label=None) -> Trace:
+    """Product state ``mask`` times the operands, multiplied into the product
+    state's own sign array: every trace built from a mask comes from here.
+    Signs are +-1, so the operands' max |amplitude| product bounds it."""
+    _require_length(sys.t, *operands)
+    check_headroom(prod(map(max_abs, operands)), "product")
+    out = product_signs(mask, sys.negative_masks)
+    for x in operands:
+        out *= x.samples
+    return _adopt(out, label)
 
 
 def _negative_masks(seed: int, m: int, t: int) -> np.ndarray:
@@ -257,7 +279,7 @@ class ReferenceSystem:
         """High reference RTW of noise-bit ``i`` (1-based)."""
         if not 1 <= i <= self.m:
             raise DimensionError(f"noise-bit index {i} outside 1..{self.m}")
-        return _adopt(product_signs(1 << (i - 1), self.negative_masks), f"high_{i}")
+        return _product_state(self, 1 << (i - 1), label=f"high_{i}")
 
     @property
     def highs(self) -> tuple[Trace, ...]:
@@ -271,7 +293,7 @@ class ReferenceSystem:
     @property
     def ones(self) -> Trace:
         """Product of all M high references: the all-high product string."""
-        return _adopt(product_signs((1 << self.m) - 1, self.negative_masks), "ones")
+        return _product_state(self, (1 << self.m) - 1, label="ones")
 
 
 def generate_reference_system(m: int, t: int, seed: int) -> ReferenceSystem:
@@ -287,11 +309,10 @@ def generate_reference_system(m: int, t: int, seed: int) -> ReferenceSystem:
     The streams differ from those of version 0.1.0, which mixed one word
     per reference and clock.
     """
-    if m < 1 or t < 1:
-        raise DimensionError("need at least 1 noise-bit and 1 clock cycle")
-    if m > MAX_NOISE_BITS:
+    _check_clock_count(t)
+    if not 1 <= m <= MAX_NOISE_BITS:
         raise DimensionError(
-            f"m={m} exceeds the engine limit of {MAX_NOISE_BITS} noise-bits "
+            f"m={m} is outside the engine's 1..{MAX_NOISE_BITS} noise-bits "
             "(superposition amplitudes are stored as signed 64-bit integers)"
         )
     seed = operator.index(seed) % (1 << 64)

@@ -374,6 +374,17 @@ ERROR_PATH_TABLE = {
     ),
     "decimal-leading-zeros": (f"gate xor --a {'0' * 5000}3 --b 0b1 --m 4", 0, "oracle:"),
     "json-nested-too-deeply": ("compare {dir}/deep.json {dir}/deep.json", 4, "nested too deeply"),
+    # T of 2^62 and 10^20: refused before numpy, which raises a bare ValueError
+    "refs-t-2^62": (
+        "refs --m 4 --t 4611686018427387904 --out {dir}/out",
+        2,
+        "clock count 4611686018427387904 is outside",
+    ),
+    "refs-t-10^20": (
+        "refs --m 4 --t 100000000000000000000 --out {dir}/out",
+        2,
+        "clock count 100000000000000000000 is outside",
+    ),
 }
 
 

@@ -198,6 +198,18 @@ class TestBasisOrthogonality:
             sums = product_signs(chunk[:, None], sys.negative_masks).sum(axis=1)
             assert np.abs(sums).max() <= 5 * np.sqrt(self.T)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_lagged_products_per_reference_at_m62(self, seed):
+        # same-clock sums cannot see a reference that repeats or alternates
+        # from clock to clock; s_i(t)*s_i(t+lag) is -1 exactly where bit i-1
+        # of w[t] ^ w[t+lag] is set, so each lagged sum is (T-lag) - 2*count
+        words = generate_reference_system(62, self.T, seed).negative_masks
+        for lag in (1, 2, 3, 64):
+            flips = (words[:-lag] ^ words[lag:]).astype("<u8").view(np.uint8)
+            bits = np.unpackbits(flips, bitorder="little").reshape(-1, 64)[:, :62]
+            sums = (self.T - lag) - 2 * bits.sum(axis=0, dtype=np.int64)
+            assert np.abs(sums).max() <= 5 * np.sqrt(self.T - lag), f"lag {lag}"
+
 
 class TestRealize:
     def test_empty_is_zero_signal(self, sys4):

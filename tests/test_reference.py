@@ -17,14 +17,19 @@ from noiselogic import (
     LengthMismatchError,
     Trace,
     TraceParseError,
+    agreement_stats,
     check_orthogonality,
+    decode_product,
+    decode_superposition,
     generate_reference_system,
     low_reference,
     multiply_traces,
+    superpose,
     trace_from_csv,
     trace_from_json,
     trace_to_csv,
     trace_to_json,
+    universe_stats,
 )
 from noiselogic.reference import _TEXT_BLOCK
 
@@ -217,6 +222,45 @@ def test_product_closure_stays_binary():
 def test_product_length_mismatch():
     with pytest.raises(LengthMismatchError):
         multiply_traces(low_reference(4), low_reference(5))
+
+
+# every call outside the gates that checks a trace against a clock count (the
+# system's T, an explicit t, or the first trace's length), with the operand's
+# length named first; test_gates.py::test_gate_kernel_checks covers the gates
+LENGTH_GUARDED_CALLS = {
+    "trace-add": lambda sys, short: sys.high(1) + short,
+    "multiply_traces": lambda sys, short: multiply_traces(sys.high(1), short),
+    "superpose": lambda sys, short: superpose([sys.high(1), short]),
+    "superpose-explicit-t": lambda sys, short: superpose([short], t=128),
+    "decode_product": lambda sys, short: decode_product(sys, short),
+    "decode_superposition": lambda sys, short: decode_superposition(sys, short),
+    "universe_stats": lambda sys, short: universe_stats(sys, short),
+    "agreement_stats": lambda sys, short: agreement_stats(sys.high(1), short),
+}
+
+
+@pytest.mark.parametrize("call", LENGTH_GUARDED_CALLS.values(), ids=LENGTH_GUARDED_CALLS)
+def test_length_mismatch_message(call):
+    sys = generate_reference_system(4, 128, seed=17)
+    short = generate_reference_system(4, 64, seed=17).high(1)
+    with pytest.raises(LengthMismatchError, match=r"trace lengths differ: 64 != 128$"):
+        call(sys, short)
+
+
+# numpy refuses these clock counts before allocating anything (an int64 trace
+# would need 2^65 or 8*10^20 bytes); the engine refuses them before numpy sees them
+CLOCK_COUNT_CALLS = {
+    "generate_reference_system": lambda t: generate_reference_system(4, t, 0),
+    "low_reference": low_reference,
+    "superpose-nothing": lambda t: superpose([], t=t),
+}
+
+
+@pytest.mark.parametrize("t", [2**62, 10**20], ids=["2^62", "10^20"])
+@pytest.mark.parametrize("call", CLOCK_COUNT_CALLS.values(), ids=CLOCK_COUNT_CALLS)
+def test_clock_count_past_numpy_limit_is_refused(call, t):
+    with pytest.raises(DimensionError, match=rf"^clock count {t} is outside 1\.\.\d+$"):
+        call(t)
 
 
 def test_orthogonality_self_correlation_exact():
