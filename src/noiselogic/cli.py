@@ -19,6 +19,7 @@ a wrong output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import re
@@ -63,16 +64,19 @@ class UsageError(Exception):
     pass
 
 
-def _resolve_seed(arg_seed: int | None) -> int:
-    if arg_seed is not None:
-        return arg_seed
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return DEFAULT_SEED
-    try:
-        return int(raw, 0)
-    except ValueError:
-        raise UsageError(f"{SEED_ENV_VAR}={raw!r} is not an integer")
+def _integer(text: str, message: str, base: int = 10) -> int:
+    """``text`` as an integer in ``base`` (0 for seeds, which may carry a
+    ``0x``, ``0o`` or ``0b`` prefix): ASCII only, without the ``_``
+    separators and surrounding whitespace ``int`` also reads."""
+    if text.isascii() and "_" not in text and text == text.strip():
+        with contextlib.suppress(ValueError):  # not in ``base``, or past int()'s digit limit
+            return int(text, base)
+    raise UsageError(message)
+
+
+def _integer_flag(flag: str, base: int = 10):
+    """argparse ``type`` of an integer flag; a bad value is one ``error:`` line."""
+    return lambda text: _integer(text, f"{flag} expects an integer, got {text!r}", base)
 
 
 def _resolve_m(m: int | None, default: int | None = None) -> int:
@@ -106,10 +110,7 @@ def _parse_operand(expr: str) -> list[tuple[int, str]]:
             raise UsageError(f"empty term in operand {expr!r}")
         if "*" in part:
             k_text, literal = part.split("*", 1)
-            try:
-                coeff = int(k_text.strip())
-            except ValueError:
-                raise UsageError(f"bad multiplicity in term {part!r}")
+            coeff = _integer(k_text.strip(), f"bad multiplicity in term {part!r}")
         else:
             coeff, literal = 1, part
         entries.append((coeff, literal.strip()))
@@ -167,10 +168,8 @@ def _operand_superposition(entries: list[tuple[int, str]], width: int) -> Symbol
 
 def _parse_targets(text: str) -> list[int]:
     """Comma-separated noise-bits; ``apply_not`` refuses an empty or out-of-range set."""
-    try:
-        return sorted({int(p) for p in text.split(",") if p.strip()})
-    except ValueError:
-        raise UsageError(f"--targets expects comma-separated integers, got {text!r}")
+    message = f"--targets expects comma-separated integers, got {text!r}"
+    return sorted({_integer(p.strip(), message) for p in text.split(",") if p.strip()})
 
 
 # --- subcommands -------------------------------------------------------------
@@ -178,7 +177,7 @@ def _parse_targets(text: str) -> list[int]:
 
 def cmd_refs(args) -> int:
     m = _resolve_m(args.m, default=4)
-    sys = generate_reference_system(m, args.t, _resolve_seed(args.seed))
+    sys = generate_reference_system(m, args.t, args.seed)
     for i in range(1, m + 1):
         _write(args, sys.high(i), f"ref_high_{i:02d}")
     _write(args, sys.low, "ref_low")
@@ -192,7 +191,7 @@ def cmd_synth(args) -> int:
     if any(len(entries) != 1 or entries[0][0] != 1 for entries in operands):
         raise UsageError("synth takes plain bit strings; use --superpose for sums")
     terms = [_parse_literal(entries[0][1], width) for entries in operands]
-    sys = generate_reference_system(width, args.t, _resolve_seed(args.seed))
+    sys = generate_reference_system(width, args.t, args.seed)
     traces = [product_trace(sys, term) for term in terms]
     for term, trace in zip(terms, traces):
         _write(args, trace, f"synth_{term.text()}")
@@ -203,7 +202,7 @@ def cmd_synth(args) -> int:
 
 def cmd_universe(args) -> int:
     m = _resolve_m(args.m, default=4)
-    sys = generate_reference_system(m, args.t, _resolve_seed(args.seed))
+    sys = generate_reference_system(m, args.t, args.seed)
     u = universe(sys)
     _write(args, u, "universe")
     stats = universe_stats(sys, u)
@@ -225,7 +224,7 @@ def _gate_prediction(
     gate before building the operand, so the gate reports a bad target.
     """
     kind = args.kind
-    sys = generate_reference_system(width, args.t, _resolve_seed(args.seed))
+    sys = generate_reference_system(width, args.t, args.seed)
     x = realize(sys, state)
 
     if kind == "not":
@@ -335,14 +334,16 @@ def cmd_compare(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--m", type=int, default=None, help="noise-bit count (1..62)")
+    common.add_argument("--m", type=_integer_flag("--m"), help="noise-bit count (1..62)")
     common.add_argument(
-        "--t", type=int, default=DEFAULT_T, help=f"clock cycles (default {DEFAULT_T})"
+        "--t", type=_integer_flag("--t"), default=DEFAULT_T,
+        help=f"clock cycles (default {DEFAULT_T})",
     )
+    # argparse converts a string default, here $NOISELOGIC_SEED, only when --seed is absent
     common.add_argument(
         "--seed",
-        type=lambda s: int(s, 0),
-        default=None,
+        type=_integer_flag(f"--seed (or ${SEED_ENV_VAR})", 0),
+        default=os.environ.get(SEED_ENV_VAR, DEFAULT_SEED),
         help=f"generator seed (default {DEFAULT_SEED}; ${SEED_ENV_VAR} overrides)",
     )
     common.add_argument(
@@ -373,8 +374,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--targets", help="comma-separated noise-bits for NOT")
     p.add_argument("--a", help="first operand for XOR/XNOR")
     p.add_argument("--b", help="second operand for pairwise XOR/XNOR")
-    p.add_argument("--target", type=int, help="noise-bit for targeted XOR/XNOR")
-    p.add_argument("--value", type=int, choices=(0, 1), help="bit value for --target")
+    p.add_argument(
+        "--target", type=_integer_flag("--target"), help="noise-bit for targeted XOR/XNOR"
+    )
+    p.add_argument(
+        "--value", type=_integer_flag("--value"), choices=(0, 1), help="bit value for --target"
+    )
     p.set_defaults(func=cmd_gate)
 
     p = sub.add_parser("compare", help="sample-wise comparison of two trace files")
@@ -386,12 +391,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
+    try:  # an integer flag's type raises UsageError, which argparse passes on
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return 2
     except OracleMismatchError as exc:
         print(f"oracle mismatch: {exc}", file=_sys.stderr)
         return 3
@@ -401,7 +403,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=_sys.stderr)
         return 4
-    except NoiseLogicError as exc:
+    except (UsageError, NoiseLogicError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 2
     except MemoryError as exc:

@@ -3,12 +3,11 @@
 Every gate is a sample-wise multiplication, so outputs are valid at each
 clock cycle without time averaging, and each gate distributes over
 superpositions: applying it to a sum applies it to every component at
-once. Each gate that takes a reference system is one product state (a
-bit-mask) times its operands, computed by ``reference._product_state``,
-the kernel that builds every product-state trace and checks its
-operands' lengths and headroom. Gates operate on traces only; their
-string-level truth tables are theorems checked by the test suite, not an
-implementation path.
+once. Each gate is one product of ``reference._combine``, the kernel that
+computes every trace and checks its operands' lengths and headroom: a
+product state (a bit-mask) times the operands, or for ``xor_pair`` the
+operands alone. Gates operate on traces only; their string-level truth
+tables are theorems checked by the test suite, not an implementation path.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .errors import TargetIndexError
-from .reference import ReferenceSystem, Trace, _product_state, _require_length, multiply_traces
+from .reference import ReferenceSystem, Trace, _combine, _require_length, multiply_traces
 
 
 def _target_mask(sys: ReferenceSystem, targets: Iterable[int]) -> int:
@@ -39,13 +38,13 @@ def not_operator(sys: ReferenceSystem, targets: Iterable[int]) -> Trace:
     """
     mask = _target_mask(sys, targets)
     bits = "".join(str(i) for i in range(1, sys.m + 1) if mask >> (i - 1) & 1)
-    return _product_state(sys, mask, label="not_" + bits)
+    return _combine(sys.t, [(1, mask, ())], sys, "not_" + bits)
 
 
 def apply_not(sys: ReferenceSystem, targets: Iterable[int], signal: Trace) -> Trace:
     """Invert the targeted bits of every product state carried by ``signal``:
     ``signal`` times :func:`not_operator`."""
-    return _product_state(sys, _target_mask(sys, targets), signal)
+    return _combine(sys.t, [(1, _target_mask(sys, targets), (signal,))], sys)
 
 
 def xor_pair(a: Trace, b: Trace) -> Trace:
@@ -63,7 +62,7 @@ def xor_pair(a: Trace, b: Trace) -> Trace:
 
 def xnor_pair(sys: ReferenceSystem, a: Trace, b: Trace) -> Trace:
     """Pairwise XNOR: a * b * ones, with ones the all-high product string."""
-    return _product_state(sys, (1 << sys.m) - 1, a, b)
+    return _combine(sys.t, [(1, (1 << sys.m) - 1, (a, b))], sys)
 
 
 def xor_targeted(sys: ReferenceSystem, signal: Trace, i: int, p: int) -> Trace:
@@ -77,7 +76,7 @@ def xor_targeted(sys: ReferenceSystem, signal: Trace, i: int, p: int) -> Trace:
     if p not in (0, 1):
         raise ValueError("bit value p must be 0 or 1")
     if p == 1:
-        return _product_state(sys, mask, signal)
+        return _combine(sys.t, [(1, mask, (signal,))], sys)
     _require_length(sys.t, signal)  # returned without a copy, so checked here
     return signal
 

@@ -15,10 +15,7 @@ import numpy as np
 
 from .errors import DimensionError, WidthMismatchError
 from .oracle import ProductTerm, SymbolicSuperposition
-from .reference import (
-    ReferenceSystem, Trace, _adopt, _check_clock_count, _product_state, _require_length,
-    check_headroom, max_abs, product_signs,
-)
+from .reference import ReferenceSystem, Trace, _adopt, _check_clock_count, _combine
 
 
 @dataclass(frozen=True)
@@ -58,7 +55,7 @@ def product_trace(sys: ReferenceSystem, term: ProductTerm) -> Trace:
     """
     if term.width != sys.m:
         raise WidthMismatchError(f"term width {term.width} != system width {sys.m}")
-    return _product_state(sys, term.mask, label=term.text())
+    return _combine(sys.t, [(1, term.mask, ())], sys, term.text())
 
 
 def synthesize(sys: ReferenceSystem, s: "BitString | str") -> Trace:
@@ -82,12 +79,7 @@ def superpose(traces: list[Trace], *, t: int | None = None) -> Trace:
             raise DimensionError("superposing nothing requires an explicit clock count t")
         _check_clock_count(t)
         return _adopt(np.zeros(int(t), dtype=np.int64))
-    _require_length(traces[0].t if t is None else t, *traces)
-    check_headroom(sum(max_abs(tr) for tr in traces), "superposition")
-    acc = traces[0].samples.copy()
-    for tr in traces[1:]:
-        acc += tr.samples
-    return _adopt(acc)
+    return _combine(traces[0].t if t is None else t, [(1, None, (x,)) for x in traces])
 
 
 def universe(sys: ReferenceSystem) -> Trace:
@@ -111,11 +103,4 @@ def realize(sys: ReferenceSystem, sup: SymbolicSuperposition) -> Trace:
     """
     if sup.width != sys.m:
         raise WidthMismatchError(f"superposition width {sup.width} != system width {sys.m}")
-    check_headroom(sum(abs(c) for c in sup.terms.values()), "superposition")
-    acc = np.zeros(sys.t, dtype=np.int64)
-    for mask, coeff in sup.terms.items():
-        signs = product_signs(mask, sys.negative_masks)
-        signs *= coeff
-        acc += signs
-        del signs  # freed before the next term's signs are allocated
-    return _adopt(acc)
+    return _combine(sys.t, [(c, mask, ()) for mask, c in sup.terms.items()], sys)

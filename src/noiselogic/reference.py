@@ -3,7 +3,9 @@
 A noise-bit's logic-high state is a random telegraph wave (RTW): a
 discrete-time signal whose sample at each clock cycle is +1 or -1 with
 probability 0.5. The logic-low state is squeezed to the constant 1 and is
-never stored; operations treat it as the multiplicative identity.
+never stored; operations treat it as the multiplicative identity. Every
+trace an operation computes, a sum of products c * P(mask) * x1 * x2 * ...,
+is built by one kernel, :func:`_combine`, which checks lengths and headroom.
 
 Generation is counter-based: each clock t has one splitmix64 word, a pure
 function of (seed, t), and the M references at that clock are M bits of
@@ -93,8 +95,7 @@ class Trace:
         if isinstance(other, Trace):
             return multiply_traces(self, other)
         if isinstance(other, (int, np.integer)):
-            check_headroom(max_abs(self) * abs(int(other)), "scalar product")
-            return _adopt(self.samples * np.int64(other))
+            return _combine(self.t, [(int(other), None, (self,))])
         return NotImplemented
 
     __rmul__ = __mul__
@@ -102,13 +103,10 @@ class Trace:
     def __add__(self, other: "Trace") -> "Trace":
         if not isinstance(other, Trace):
             return NotImplemented
-        _require_length(self.t, other)
-        check_headroom(max_abs(self) + max_abs(other), "sum")
-        return _adopt(self.samples + other.samples)
+        return _combine(self.t, [(1, None, (self,)), (1, None, (other,))])
 
     def __neg__(self) -> "Trace":
-        check_headroom(max_abs(self), "negation")
-        return _adopt(-self.samples)
+        return _combine(self.t, [(-1, None, (self,))])
 
     def is_binary(self) -> bool:
         """True when every sample is +1 or -1 (RTW / product-state class)."""
@@ -158,12 +156,10 @@ def max_abs(trace: Trace) -> int:
     return max(int(trace.samples.max()), -int(trace.samples.min()))
 
 
-def check_headroom(bound: int, what: str) -> None:
-    """Refuse an operation whose |amplitude| can reach 2^63, where int64 wraps."""
+def check_headroom(bound: int) -> None:
+    """Refuse a result whose |amplitude| can reach 2^63, where int64 wraps."""
     if bound >= INT64_HEADROOM:
-        raise AmplitudeOverflowError(
-            f"{what} can reach |amplitude| {bound} >= 2^63, past the int64 range"
-        )
+        raise AmplitudeOverflowError(f"|amplitude| can reach {bound} >= 2^63, past the int64 range")
 
 
 def low_reference(t: int, *, label: str | None = "low") -> Trace:
@@ -178,9 +174,7 @@ def multiply_traces(a: Trace, b: Trace) -> Trace:
     The product of two RTWs is again an RTW, and the self-product of any
     RTW is the constant-1 vacuum trace.
     """
-    _require_length(a.t, b)
-    check_headroom(max_abs(a) * max_abs(b), "product")
-    return _adopt(a.samples * b.samples)
+    return _combine(a.t, [(1, None, (a, b))])
 
 
 def _mix64(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -215,16 +209,35 @@ def product_signs(masks, negatives: np.ndarray) -> np.ndarray:
     return signs
 
 
-def _product_state(sys: ReferenceSystem, mask: int, *operands: Trace, label=None) -> Trace:
-    """Product state ``mask`` times the operands, multiplied into the product
-    state's own sign array: every trace built from a mask comes from here.
-    Signs are +-1, so the operands' max |amplitude| product bounds it."""
-    _require_length(sys.t, *operands)
-    check_headroom(prod(map(max_abs, operands)), "product")
-    out = product_signs(mask, sys.negative_masks)
-    for x in operands:
-        out *= x.samples
-    return _adopt(out, label)
+def _combine(t: int, terms, sys: ReferenceSystem | None = None, label=None) -> Trace:
+    """Sum over ``terms``, each ``(coeff, mask, operands)``, of coeff * P(mask)
+    * x1 * x2 * ...: every trace the engine computes comes from here. P is
+    ``sys``'s product state ``mask`` (+-1), or 1 when ``mask`` is None.
+    Every operand must span ``t`` clocks, and the bound sum |coeff| * prod
+    max|operand| must stay below 2^63, both checked before any numpy
+    arithmetic. A term is computed in place in one fresh array (the signs,
+    or its first multiply), which the first term makes the result; a later
+    one is added and freed, or, when it is one operand times 1, added as is.
+    """
+    _require_length(t, *[x for _, _, operands in terms for x in operands])
+    check_headroom(sum(abs(coeff) * prod(map(max_abs, operands)) for coeff, _, operands in terms))
+    acc = None
+    for coeff, mask, operands in terms:
+        factors = [x.samples for x in operands]
+        if coeff != 1:  # under the bound, only a term that is 0 has one past int64
+            factors.append(coeff if abs(coeff) < INT64_HEADROOM else 0)
+        if mask is None and acc is not None and len(factors) == 1:
+            acc += factors[0]
+            continue
+        if mask is None:
+            term = np.multiply(factors.pop(0), factors.pop(0) if factors else 1)
+        else:
+            term = product_signs(mask, sys.negative_masks)
+        for f in factors:
+            term *= f
+        acc = term if acc is None else np.add(acc, term, out=acc)
+        del term  # freed before the next term is computed
+    return _adopt(np.zeros(t, dtype=np.int64) if acc is None else acc, label)
 
 
 def _negative_masks(seed: int, m: int, t: int) -> np.ndarray:
@@ -279,7 +292,7 @@ class ReferenceSystem:
         """High reference RTW of noise-bit ``i`` (1-based)."""
         if not 1 <= i <= self.m:
             raise DimensionError(f"noise-bit index {i} outside 1..{self.m}")
-        return _product_state(self, 1 << (i - 1), label=f"high_{i}")
+        return _combine(self.t, [(1, 1 << (i - 1), ())], self, f"high_{i}")
 
     @property
     def highs(self) -> tuple[Trace, ...]:
@@ -293,7 +306,7 @@ class ReferenceSystem:
     @property
     def ones(self) -> Trace:
         """Product of all M high references: the all-high product string."""
-        return _product_state(self, (1 << self.m) - 1, label="ones")
+        return _combine(self.t, [(1, (1 << self.m) - 1, ())], self, "ones")
 
 
 def generate_reference_system(m: int, t: int, seed: int) -> ReferenceSystem:

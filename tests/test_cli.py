@@ -1,8 +1,13 @@
 """CLI behavior: commands, exit codes, determinism, serialization."""
 
+import contextlib
+import io
 import json
+import os
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from noiselogic import (
     ProductTerm,
@@ -385,6 +390,24 @@ ERROR_PATH_TABLE = {
         2,
         "clock count 100000000000000000000 is outside",
     ),
+    # integers on the command line are ASCII digits with no ``_``, where
+    # int() also reads other scripts' digits, ``_`` and whitespace
+    "multiplicity-non-ascii": ("gate xor --a ٣*1100 --b 1000", 2, "bad multiplicity in term"),
+    "multiplicity-underscore": ("gate xor --a 1_0*1100 --b 1000", 2, "bad multiplicity in term"),
+    "multiplicity-negative": (
+        "gate xor --a 1100+-3*1010 --b 1000", 0, "oracle: -3*[0010] + 1*[0100]"
+    ),
+    "m-and-t-non-ascii": (
+        "refs --m ٤ --t ١٢٨ --out {dir}/out", 2, "--m expects an integer, got '٤'"
+    ),
+    "t-non-ascii": ("refs --t ١٢٨ --out {dir}/out", 2, "--t expects an integer, got '١٢٨'"),
+    "t-underscore": ("refs --t 1_000 --out {dir}/out", 2, "--t expects an integer, got '1_000'"),
+    "seed-non-ascii": ("refs --seed ٧ --out {dir}/out", 2, "--seed (or $NOISELOGIC_SEED) expects"),
+    "seed-underscore": ("refs --seed 0x_2a --out {dir}/out", 2, "got '0x_2a'"),
+    "seed-hex": ("gate xor --a 1100 --b 1010 --seed 0x2a", 0, "oracle: 1*[0110]"),
+    "targets-non-ascii": ("gate not --input 1100 --targets 1,٣", 2, "comma-separated integers"),
+    "target-non-ascii": ("gate xor --a 1100 --target ٢ --value 1", 2, "--target expects"),
+    "value-non-ascii": ("gate xor --a 1100 --target 2 --value ١", 2, "--value expects"),
 }
 
 
@@ -446,6 +469,17 @@ class TestSeedHandling:
         code, _, _ = run(capsys, "synth", "1100", "--out", tmp_path)
         assert code == 2
 
+    @pytest.mark.parametrize("value", ["٣", "1_0", " 7", "0x_2a"])
+    def test_env_value_is_ascii_digits_only(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("NOISELOGIC_SEED", value)
+        code, _, err = run(capsys, "synth", "1100", "--out", tmp_path / "out")
+        assert code == 2
+        assert err == f"error: --seed (or $NOISELOGIC_SEED) expects an integer, got {value!r}\n"
+        assert not (tmp_path / "out").exists()
+        # --seed beats the variable, which is then never read
+        code, _, _ = run(capsys, "synth", "1100", "--seed", "0x2a", "--out", tmp_path / "out")
+        assert code == 0
+
 
 class TestDeterminismAndFormats:
     def test_json_format_round_trip(self, tmp_path, capsys):
@@ -467,3 +501,120 @@ class TestDeterminismAndFormats:
         a = (tmp_path / "one/gate_xnor.csv").read_bytes()
         b = (tmp_path / "two/gate_xnor.csv").read_bytes()
         assert a == b
+
+
+# --- generative audit: every argv ends in a documented exit code ----------------
+
+#: malformed, non-ASCII and out-of-range forms besides the well-formed ones
+_ODD_LITERALS = st.text("01", max_size=6).map("0b".__add__) | st.integers(0, 99).map(str) | (
+    st.sampled_from(["", " ", "x", "0b2", "0b1_0", "1_0", "٣", "²", "１０", "10" * 40])
+)
+_ODD_INTEGERS = st.integers(-(2**64), 2**64).map(str) | st.sampled_from(
+    ["", "x", "٣", "1_0", " 3", "+", "-", "0x10", "9" * 5000,
+     str(2**63 - 1), str(2**63), str(-(2**63)), str(2**62)]
+)
+#: T at most 2^12, or from 2^60, which is refused before numpy allocates
+_CLOCKS = st.one_of(
+    st.integers(-2, 1 << 12).map(str),
+    st.integers(1 << 60, 1 << 70).map(str),
+    st.sampled_from(["١٢٨", "1_000", "x", "0x10"]),
+)
+_SEEDS = st.one_of(
+    st.integers(-(2**70), 2**70).map(str),
+    st.integers(0, 2**64).map(hex),
+    st.sampled_from(["٧", "0x_1", "0b101", "0o17", "007", "", "pi"]),
+)
+_FILES = ("good.csv", "good.json", "bad.csv", "missing.csv", "folder")
+
+
+@st.composite
+def _argvs(draw):
+    """(argv, $NOISELOGIC_SEED or None): mostly well-formed commands of one
+    bit width, each with up to two extra flags of any form."""
+    command = draw(st.sampled_from(["refs", "synth", "universe", "gate", "compare"]))
+    if command == "compare":
+        return [command, *draw(st.lists(st.sampled_from(_FILES), min_size=2, max_size=2))], None
+    width = draw(st.integers(1, 6) | st.just(13))
+    plain = st.text("01", min_size=width, max_size=width)
+    literal = st.one_of(*[plain] * 12, _ODD_LITERALS)
+    small = st.integers(-20, 20).map(str)
+    multiplicity = st.one_of(small, small, small, _ODD_INTEGERS)
+    # a negative multiplicity joins as ``+-k*s``, the grammar's only minus
+    term = st.one_of(literal, literal, st.builds("{}*{}".format, multiplicity, literal))
+    operand = st.lists(term, min_size=1, max_size=3).map("+".join)
+    odd_bit = st.integers(-1, 64).map(str) | st.sampled_from(["١", ""])
+    bit = st.one_of(*[st.integers(1, width).map(str)] * 3, odd_bit)
+    flags = {
+        "--m": st.integers(0, 63).map(str) | st.sampled_from(["٤", "x", "-1"]),
+        "--t": _CLOCKS,
+        "--seed": _SEEDS,
+        "--format": st.sampled_from(["csv", "json", "xml"]),
+        "--input": operand,
+        "--targets": st.lists(bit, min_size=1, max_size=3).map(",".join),
+        "--a": operand,
+        "--b": operand,
+        "--target": bit,
+        "--value": st.sampled_from(["0", "1", "2", "١"]),
+    }
+    argv, chosen = [command], []
+    if command == "synth":
+        argv += draw(st.lists(literal, min_size=1, max_size=3))
+        if draw(st.booleans()):
+            argv.append("--superpose")
+    elif command == "gate":
+        kind = draw(st.sampled_from(["not", "xor", "xnor"]))
+        argv.append(kind)
+        if kind == "not":
+            chosen = ["--input", "--targets"]
+        else:
+            chosen = ["--a", "--b"] if draw(st.booleans()) else ["--a", "--target", "--value"]
+    chosen += draw(st.lists(st.sampled_from(["--m", "--t", "--seed", "--format"]), max_size=2))
+    if command == "gate" and draw(st.integers(0, 3)) == 0:  # maybe another form's flag
+        chosen.append(draw(st.sampled_from(sorted(flags))))
+    for flag in dict.fromkeys(chosen):
+        value = draw(flags[flag])
+        # both spellings of a flag; ``=`` also carries a value that starts with -
+        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    return argv, draw(st.none() | _SEEDS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_argvs())
+def test_any_argv_ends_in_a_documented_exit_code(tmp_path_factory, case):
+    argv, env_seed = case
+    work = tmp_path_factory.mktemp("audit")
+    high = generate_reference_system(4, 16, seed=1).high(1)
+    write_trace(high, work / "good.csv")
+    write_trace(high, work / "good.json", "json")
+    (work / "bad.csv").write_text("not,a,trace\n")
+    (work / "folder").mkdir()  # unreadable as a trace
+    argv = [str(work / a) if a in _FILES else a for a in argv]
+    if argv[0] != "compare":
+        argv += ["--out", str(work / "out")]
+    out, err = io.StringIO(), io.StringIO()
+    saved = os.environ.pop("NOISELOGIC_SEED", None)
+    if env_seed is not None:
+        os.environ["NOISELOGIC_SEED"] = env_seed
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's own usage errors, and only those
+                assert exc.code == 2
+                code = "argparse"
+    finally:
+        os.environ.pop("NOISELOGIC_SEED", None)
+        if saved is not None:
+            os.environ["NOISELOGIC_SEED"] = saved
+    out, err = out.getvalue(), err.getvalue()
+    event(f"{argv[0]}: exit {code}")
+    assert "Traceback" not in out + err
+    assert code in (0, 2, 3, 4, "argparse")
+    if code in (2, "argparse"):
+        # main's own refusals are one ``error:`` line; argparse's follow its usage line
+        assert err.startswith("error:") if code == 2 else "error:" in err
+    if code == 0 and argv[0] == "gate":
+        lines = out.splitlines()
+        (engine,) = [line[len("engine: "):] for line in lines if line.startswith("engine: ")]
+        (oracle,) = [line[len("oracle: "):] for line in lines if line.startswith("oracle: ")]
+        assert engine == oracle or engine.startswith(("decode failed (", "decode skipped ("))

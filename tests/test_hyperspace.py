@@ -22,7 +22,7 @@ from noiselogic import (
     universe,
 )
 from noiselogic.cli import _parse_literal
-from noiselogic.reference import product_signs
+from noiselogic.reference import _GENERATION_BLOCK, product_signs
 
 
 @pytest.fixture
@@ -170,6 +170,28 @@ class TestUniverse:
         assert universe(sys) == total
 
 
+def _bits(words: np.ndarray) -> np.ndarray:
+    """Bits 0..61 of each uint64 word, one row per word."""
+    flat = np.unpackbits(words.astype("<u8").view(np.uint8), bitorder="little")
+    return flat.reshape(-1, 64)[:, :62]
+
+
+def _full_rank_windows(words: np.ndarray, m: int) -> int:
+    """How many consecutive, non-overlapping m-word windows are m x m binary
+    matrices of full rank: GF(2) elimination, run on every window at once."""
+    rows = words[: words.size // m * m].reshape(-1, m).copy()
+    n = np.arange(len(rows))
+    pivoted = np.zeros(rows.shape, dtype=bool)
+    for j in range(m):
+        has_bit = ((rows >> np.uint64(j)) & np.uint64(1)).astype(bool)
+        pivot = (has_bit & ~pivoted).argmax(axis=1)
+        found = has_bit[n, pivot] & ~pivoted[n, pivot]
+        has_bit[n, pivot] = False  # the pivot row keeps its bit j
+        rows ^= np.where(has_bit & found[:, None], rows[n, pivot][:, None], np.uint64(0))
+        pivoted[n, pivot] |= found
+    return int(np.count_nonzero(pivoted.all(axis=1)))
+
+
 class TestBasisOrthogonality:
     # the M references at a clock are M bits of one mixed word, so every
     # product of them, not only each pair, must average out: |sum| <= 5*sqrt(T)
@@ -205,10 +227,47 @@ class TestBasisOrthogonality:
         # of w[t] ^ w[t+lag] is set, so each lagged sum is (T-lag) - 2*count
         words = generate_reference_system(62, self.T, seed).negative_masks
         for lag in (1, 2, 3, 64):
-            flips = (words[:-lag] ^ words[lag:]).astype("<u8").view(np.uint8)
-            bits = np.unpackbits(flips, bitorder="little").reshape(-1, 64)[:, :62]
+            bits = _bits(words[:-lag] ^ words[lag:])
             sums = (self.T - lag) - 2 * bits.sum(axis=0, dtype=np.int64)
             assert np.abs(sums).max() <= 5 * np.sqrt(self.T - lag), f"lag {lag}"
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_lagged_products_per_reference_pair_at_m62(self, seed):
+        # s_i(t)s_i(t+lag)s_k(t)s_k(t+lag) is -1 exactly where bits i-1 and
+        # k-1 of w[t] ^ w[t+lag] differ; every pair i < k is checked at once
+        # as one matrix product of the lagged signs
+        words = generate_reference_system(62, self.T, seed).negative_masks
+        pairs = np.triu_indices(62, 1)
+        for lag in (1, 2, 3, 64):
+            signs = 1 - 2 * _bits(words[:-lag] ^ words[lag:]).astype(np.float64)
+            sums = (signs.T @ signs)[pairs]  # exact: integers below 2^53
+            assert np.abs(sums).max() <= 5 * np.sqrt(self.T - lag), f"lag {lag}"
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_binary_rank_of_word_windows_at_m62(self, seed):
+        # DIEHARD's binary-rank test: a random 62 x 62 matrix over GF(2) has
+        # full rank with probability prod_{k=1..62} (1 - 2^-k) ~ 0.2888, the
+        # rate at which decode_product's windows of 62 clocks pin a string
+        windows, m = 2000, 62
+        words = generate_reference_system(m, windows * m, seed).negative_masks
+        p = float(np.prod(1 - 0.5 ** np.arange(1, m + 1)))
+        spread = 5 * np.sqrt(windows * p * (1 - p))
+        assert abs(_full_rank_windows(words, m) - windows * p) <= spread
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bit_balance_inside_and_across_generation_blocks(self, seed):
+        # each 2^15-clock block is mixed in its own pass: every bit must be
+        # balanced inside each block, in the window straddling each block
+        # boundary, and in w[t] ^ w[t + block], which is 0 where a block
+        # repeats another
+        block = _GENERATION_BLOCK
+        words = generate_reference_system(62, 4 * block, seed).negative_masks
+        bound = 5 * np.sqrt(block)
+        windows = {"block": _bits(words), "across": _bits(words[:-block] ^ words[block:])}
+        for name, bits in windows.items():
+            for start in range(0, len(bits) - block + 1, block // 2):
+                ones = bits[start : start + block].sum(axis=0, dtype=np.int64)
+                assert np.abs(block - 2 * ones).max() <= bound, f"{name} at {start}"
 
 
 class TestRealize:

@@ -15,21 +15,29 @@ from noiselogic import (
     AmplitudeOverflowError,
     DimensionError,
     LengthMismatchError,
+    ProductTerm,
+    SymbolicSuperposition,
     Trace,
     TraceParseError,
     agreement_stats,
+    apply_not,
     check_orthogonality,
     decode_product,
     decode_superposition,
     generate_reference_system,
     low_reference,
     multiply_traces,
+    not_operator,
+    product_trace,
+    realize,
     superpose,
     trace_from_csv,
     trace_from_json,
     trace_to_csv,
     trace_to_json,
     universe_stats,
+    xnor_pair,
+    xor_pair,
 )
 from noiselogic.reference import _TEXT_BLOCK
 
@@ -321,6 +329,103 @@ def test_arithmetic_refuses_int64_overflow():
         -Trace(np.array([-(1 << 63)], dtype=np.int64))
     # just inside the range still works
     assert (big + Trace(np.array([(1 << 62) - 1, 0]))).samples[0] == (1 << 63) - 1
+
+
+#: 2^63 - 1 = 7 * 1317624576693539401 and 2^63 = 2 * 2^62: two operands whose
+#: max |amplitude| product is the bound
+_FACTORS = {(1 << 63) - 1: (7, 1317624576693539401), 1 << 63: (2, 1 << 62)}
+
+
+def _peak(v: int) -> Trace:
+    """A two-clock trace whose max |amplitude| is |v|."""
+    return Trace(np.array([v, 1], dtype=np.int64))
+
+
+#: Every producer the sum-of-products kernel serves, as a call whose headroom
+#: bound (sum |coeff| * prod max|operand|) is ``bound``, and the samples it
+#: must produce; each operand spans the two clocks of ``sys``
+HEADROOM_PRODUCERS = {
+    "scalar *": lambda sys, bound: (lambda: bound * _peak(-1), [-bound, bound]),
+    "-": lambda sys, bound: (lambda: -_peak(-bound), [bound, -1]),
+    "+": lambda sys, bound: (
+        lambda: _peak(1 << 62) + _peak(bound - (1 << 62)), [bound, 2]
+    ),
+    "multiply_traces": lambda sys, bound: (
+        lambda: multiply_traces(*map(_peak, _FACTORS[bound])), [bound, 1]
+    ),
+    "xor_pair": lambda sys, bound: (
+        lambda: xor_pair(*map(_peak, _FACTORS[bound])), [bound, 1]
+    ),
+    "a * b": lambda sys, bound: (
+        lambda: _peak(_FACTORS[bound][0]) * _peak(_FACTORS[bound][1]), [bound, 1]
+    ),
+    "superpose": lambda sys, bound: (
+        lambda: superpose([_peak(1 << 62), _peak(bound - (1 << 62) - 1), _peak(1)]), [bound, 3]
+    ),
+    "realize": lambda sys, bound: (
+        lambda: realize(sys, SymbolicSuperposition(2, {0: 1 << 62, 3: bound - (1 << 62)})),
+        [(1 << 62) + (bound - (1 << 62)) * int(s) for s in (sys.high(1) * sys.high(2)).samples],
+    ),
+    "apply_not": lambda sys, bound: (
+        lambda: apply_not(sys, [2], _peak(-bound)),
+        [-bound * int(sys.high(2).samples[0]), int(sys.high(2).samples[1])],
+    ),
+    "xnor_pair": lambda sys, bound: (
+        lambda: xnor_pair(sys, *map(_peak, _FACTORS[bound])),
+        [bound * int(sys.ones.samples[0]), int(sys.ones.samples[1])],
+    ),
+}
+
+
+@pytest.mark.parametrize("producer", HEADROOM_PRODUCERS.values(), ids=HEADROOM_PRODUCERS)
+def test_headroom_bound_is_exact(producer):
+    # one rule for every computed trace: a bound of 2^63 - 1 is computed
+    # exactly, and a bound of 2^63, where int64 could wrap, is refused
+    sys = generate_reference_system(2, 2, seed=3)
+    call, expected = producer(sys, (1 << 63) - 1)
+    assert call().samples.tolist() == expected
+    call, _ = producer(sys, 1 << 63)
+    message = r"^\|amplitude\| can reach 9223372036854775808 >= 2\^63, past the int64 range$"
+    with pytest.raises(AmplitudeOverflowError, match=message):
+        call()
+
+
+def test_product_states_reach_the_kernel_with_bound_1(monkeypatch):
+    # a product state has no operand and coefficient 1, so its bound is 1
+    # whatever its mask; no input can drive it to 2^63
+    sys = generate_reference_system(62, 4, seed=3)
+    bounds = []
+    monkeypatch.setattr("noiselogic.reference.check_headroom", bounds.append)
+    product_trace(sys, ProductTerm(62, (1 << 62) - 1))
+    sys.high(62)
+    not_operator(sys, [1, 62])
+    assert bounds == [1, 1, 1]
+
+
+@pytest.mark.parametrize(
+    "call, times", [(lambda x, h: x + h, 1), (lambda x, h: superpose([x, h, x, h]), 2)],
+    ids=["+", "superpose"],
+)
+def test_sums_add_their_operands_without_temporaries(call, times):
+    # the first operand is copied into the result and every later one added
+    # to it in place: the result is the only T-sample array allocated
+    t = 1 << 16
+    sys = generate_reference_system(8, t, seed=2)
+    x, h = sys.high(1), sys.high(2)
+    tracemalloc.start()
+    try:
+        out = call(x, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.samples.tolist() == (times * (x.samples + h.samples)).tolist()
+    assert peak <= out.samples.nbytes + 2 * t
+
+
+def test_scalar_times_zero_trace_takes_any_integer():
+    # the bound is 0, and the coefficient never reaches numpy
+    zero = Trace(np.zeros(3, dtype=np.int64))
+    assert (10**30 * zero).samples.tolist() == [0, 0, 0]
 
 
 def test_trace_operator_sugar():
