@@ -64,6 +64,13 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises argparse's usage errors as :class:`UsageError`; subparsers inherit it."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _integer(text: str, message: str, base: int = 10) -> int:
     """``text`` as an integer in ``base`` (0 for seeds, which may carry a
     ``0x``, ``0o`` or ``0b`` prefix): ASCII only, without the ``_``
@@ -333,7 +340,7 @@ def cmd_compare(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--m", type=_integer_flag("--m"), help="noise-bit count (1..62)")
     common.add_argument(
         "--t", type=_integer_flag("--t"), default=DEFAULT_T,
@@ -351,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--out", default=".", help="output directory")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="noiselogic",
         description="Deterministic simulator for squeezed noise-based logic.",
     )
@@ -391,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    try:  # an integer flag's type raises UsageError, which argparse passes on
+    try:  # argparse's errors, and an integer flag's type, raise UsageError
         args = build_parser().parse_args(argv)
         return args.func(args)
     except OracleMismatchError as exc:

@@ -19,11 +19,13 @@ class LengthMismatchError(NoiseLogicError, ValueError):
 
 
 class WidthMismatchError(NoiseLogicError, ValueError):
-    """Two bit-width-carrying values that must agree do not."""
+    """Two M-bit widths differ (``widths differ: 5 != 4``), a width is not an
+    integer >= 1, or a number does not fit it (``16 does not fit in 4 bits``)."""
 
 
-class TargetIndexError(NoiseLogicError, ValueError):
-    """A noise-bit index is outside {1..M}."""
+class TargetIndexError(WidthMismatchError):
+    """A noise-bit index is not an integer in 1..M (``noise-bit indices
+    [0, 5] outside 1..4``), or a gate's target set is empty."""
 
 
 class ScaleExceededError(NoiseLogicError, ValueError):

@@ -15,18 +15,16 @@ from __future__ import annotations
 from typing import Iterable
 
 from .errors import TargetIndexError
+from .oracle import _index_mask
 from .reference import ReferenceSystem, Trace, _combine, _require_length, multiply_traces
 
 
 def _target_mask(sys: ReferenceSystem, targets: Iterable[int]) -> int:
     """Product-state mask of a nonempty set of noise-bit indices in 1..M."""
-    ts = {int(i) for i in targets}
-    if not ts:
+    mask = _index_mask(sys.m, targets)
+    if not mask:
         raise TargetIndexError("target set must not be empty")
-    bad = [i for i in ts if not 1 <= i <= sys.m]
-    if bad:
-        raise TargetIndexError(f"noise-bit indices {sorted(bad)} outside 1..{sys.m}")
-    return sum(1 << (i - 1) for i in ts)
+    return mask
 
 
 def not_operator(sys: ReferenceSystem, targets: Iterable[int]) -> Trace:
@@ -88,6 +86,4 @@ def xnor_targeted(sys: ReferenceSystem, signal: Trace, i: int, p: int) -> Trace:
     constant 1 and G_i(1) = high_i. Since high_i squared is the constant 1,
     G_i(1) cancels the trailing high_i, so XNOR with p is XOR with 1 - p.
     """
-    if p not in (0, 1):
-        raise ValueError("bit value p must be 0 or 1")
     return xor_targeted(sys, signal, i, 1 - p)

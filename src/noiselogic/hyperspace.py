@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, WidthMismatchError
-from .oracle import ProductTerm, SymbolicSuperposition
+from .errors import DimensionError
+from .oracle import ProductTerm, SymbolicSuperposition, _require_fit, _require_width
 from .reference import ReferenceSystem, Trace, _adopt, _check_clock_count, _combine
 
 
@@ -30,7 +30,7 @@ class BitString:
     value: int
 
     def __post_init__(self):
-        self.to_term()  # refuses a width below 1 or a value that does not fit
+        _require_fit(self.width, self.value)
 
     @classmethod
     def from_text(cls, text: str) -> "BitString":
@@ -53,8 +53,7 @@ def product_trace(sys: ReferenceSystem, term: ProductTerm) -> Trace:
 
     The vacuum (empty) term gives the constant-1 trace.
     """
-    if term.width != sys.m:
-        raise WidthMismatchError(f"term width {term.width} != system width {sys.m}")
+    _require_width(sys.m, term)
     return _combine(sys.t, [(1, term.mask, ())], sys, term.text())
 
 
@@ -101,6 +100,5 @@ def realize(sys: ReferenceSystem, sup: SymbolicSuperposition) -> Trace:
     empty superposition realizes as the all-zero trace; the vacuum term
     as the constant-1 trace.
     """
-    if sup.width != sys.m:
-        raise WidthMismatchError(f"superposition width {sup.width} != system width {sys.m}")
+    _require_width(sys.m, sup)
     return _combine(sys.t, [(c, mask, ()) for mask, c in sup.terms.items()], sys)

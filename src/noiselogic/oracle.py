@@ -10,12 +10,13 @@ as the correctness oracle for the numeric engine.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Literal, Mapping
 
-from .errors import ScaleExceededError, WidthMismatchError
+from .errors import ScaleExceededError, TargetIndexError, WidthMismatchError
 
 GateKind = Literal["not", "xor", "xnor"]
 
@@ -24,11 +25,34 @@ GateKind = Literal["not", "xor", "xnor"]
 MAX_UNIVERSE_BITS = 20
 
 
-def _check_width(width: int) -> int:
-    width = int(width)
-    if width < 1:
-        raise WidthMismatchError("width must be at least 1")
-    return width
+def _require_fit(width: int, *values: int) -> int:
+    """Refuse a width that is not an integer >= 1, or a value outside 0..2^width - 1."""
+    bits = operator.index(width) if hasattr(width, "__index__") else 0
+    if bits < 1:
+        raise WidthMismatchError(f"width {width!r} is not an integer >= 1")
+    for n in values:
+        if n < 0 or n >> bits:
+            raise WidthMismatchError(f"{n} does not fit in {bits} bits")
+    return bits
+
+
+def _require_width(width: int, *values) -> None:
+    """Refuse any value whose ``width`` is not ``width``; its width is named first."""
+    for x in values:
+        if x.width != width:
+            raise WidthMismatchError(f"widths differ: {x.width} != {width}")
+
+
+def _index_mask(width: int, indices: Iterable[int]) -> int:
+    """Mask of the noise-bit ``indices``, integers in 1..width (``True`` reads as 1).
+    Every other entry is named at once: integers sorted, then non-integers."""
+    indices = list(indices)
+    ints = {operator.index(i) for i in indices if hasattr(i, "__index__")}
+    bad = sorted(k for k in ints if not 1 <= k <= width)
+    bad += [i for i in indices if not hasattr(i, "__index__")]
+    if bad:
+        raise TargetIndexError(f"noise-bit indices {bad} outside 1..{width}")
+    return sum(1 << (k - 1) for k in ints)
 
 
 @dataclass(frozen=True)
@@ -46,11 +70,7 @@ class ProductTerm:
     mask: int
 
     def __post_init__(self):
-        _check_width(self.width)
-        if not 0 <= self.mask < (1 << self.width):
-            raise WidthMismatchError(
-                f"mask {self.mask:#x} does not fit in width {self.width}"
-            )
+        _require_fit(self.width, self.mask)
 
     @classmethod
     def zeros(cls, width: int) -> "ProductTerm":
@@ -62,12 +82,7 @@ class ProductTerm:
 
     @classmethod
     def from_indices(cls, width: int, indices: Iterable[int]) -> "ProductTerm":
-        mask = 0
-        for i in indices:
-            if not 1 <= i <= width:
-                raise WidthMismatchError(f"noise-bit index {i} outside 1..{width}")
-            mask |= 1 << (i - 1)
-        return cls(width, mask)
+        return cls(width, _index_mask(width, indices))
 
     @classmethod
     def from_text(cls, text: str) -> "ProductTerm":
@@ -80,11 +95,8 @@ class ProductTerm:
     @classmethod
     def from_value(cls, width: int, value: int) -> "ProductTerm":
         """Build from the decimal value of the MSB-first bit string."""
-        _check_width(width)
-        if not 0 <= value < (1 << width):
-            raise WidthMismatchError(f"value {value} does not fit in {width} bits")
-        # the reversed MSB-first digits are the mask's binary, as in from_text;
-        # BitString validates through here, so its digits are not checked twice
+        width = _require_fit(width, value)
+        # the reversed MSB-first digits are the mask's binary, as in from_text
         return cls(width, int(format(value, f"0{width}b")[::-1], 2))
 
     @property
@@ -109,8 +121,7 @@ class ProductTerm:
     def __mul__(self, other: "ProductTerm") -> "ProductTerm":
         if not isinstance(other, ProductTerm):
             return NotImplemented
-        if self.width != other.width:
-            raise WidthMismatchError(f"widths differ: {self.width} != {other.width}")
+        _require_width(self.width, other)
         return ProductTerm(self.width, self.mask ^ other.mask)
 
     def __repr__(self) -> str:
@@ -128,14 +139,9 @@ class SymbolicSuperposition:
     __slots__ = ("width", "terms")
 
     def __init__(self, width: int, terms: Mapping[int, int] | None = None):
-        width = _check_width(width)
-        canonical: dict[int, int] = {}
-        for mask, coeff in (terms or {}).items():
-            mask, coeff = int(mask), int(coeff)
-            if not 0 <= mask < (1 << width):
-                raise WidthMismatchError(f"mask {mask:#x} does not fit in width {width}")
-            if coeff:
-                canonical[mask] = coeff
+        terms = {operator.index(m): operator.index(c) for m, c in (terms or {}).items()}
+        width = _require_fit(width, *terms)
+        canonical = {mask: coeff for mask, coeff in terms.items() if coeff}
         object.__setattr__(self, "width", width)
         object.__setattr__(self, "terms", MappingProxyType(canonical))
 
@@ -159,16 +165,14 @@ class SymbolicSuperposition:
     ) -> "SymbolicSuperposition":
         acc: dict[int, int] = {}
         for term, coeff in items:
-            if term.width != width:
-                raise WidthMismatchError("term width does not match superposition width")
+            _require_width(width, term)
             acc[term.mask] = acc.get(term.mask, 0) + int(coeff)
         return cls(width, acc)
 
     # -- inspection --
 
     def coefficient(self, term: ProductTerm) -> int:
-        if term.width != self.width:
-            raise WidthMismatchError("term width does not match superposition width")
+        _require_width(self.width, term)
         return self.terms.get(term.mask, 0)
 
     @property
@@ -195,8 +199,7 @@ class SymbolicSuperposition:
     # -- linear structure --
 
     def _combine(self, other: "SymbolicSuperposition", sign: int) -> "SymbolicSuperposition":
-        if self.width != other.width:
-            raise WidthMismatchError(f"widths differ: {self.width} != {other.width}")
+        _require_width(self.width, other)
         acc = dict(self.terms)
         for mask, coeff in other.terms.items():
             acc[mask] = acc.get(mask, 0) + sign * coeff
@@ -230,8 +233,7 @@ class SymbolicSuperposition:
         if isinstance(other, ProductTerm):
             other = SymbolicSuperposition.of(other)
         if isinstance(other, SymbolicSuperposition):
-            if self.width != other.width:
-                raise WidthMismatchError(f"widths differ: {self.width} != {other.width}")
+            _require_width(self.width, other)
             acc: dict[int, int] = {}
             for ma, ca in self.terms.items():
                 for mb, cb in other.terms.items():
@@ -258,8 +260,7 @@ class SymbolicSuperposition:
                 "gate operand must be a ProductTerm; superposition-by-superposition "
                 "products have no gate semantics (use '*' for the raw signal product)"
             )
-        if operand.width != self.width:
-            raise WidthMismatchError("operand width does not match superposition width")
+        _require_width(self.width, operand)
         if kind not in ("not", "xor", "xnor"):
             raise ValueError(f"unknown gate kind {kind!r}")
         mask = operand.mask
@@ -293,15 +294,10 @@ class SymbolicSuperposition:
             m = cls._TERM_RE.match(part.strip())
             if m is None:
                 raise ValueError(f"cannot parse superposition term {part.strip()!r}")
-            coeff, bits = int(m.group(1)), m.group(2)
-            if width is None:
-                width = len(bits)
-            elif len(bits) != width:
-                raise WidthMismatchError(
-                    f"term [{bits}] has width {len(bits)}, expected {width}"
-                )
-            mask = ProductTerm.from_text(bits).mask
-            acc[mask] = acc.get(mask, 0) + coeff
+            term = ProductTerm.from_text(m.group(2))
+            width = term.width if width is None else width
+            _require_width(width, term)
+            acc[term.mask] = acc.get(term.mask, 0) + int(m.group(1))
         return cls(width, acc)
 
     def __repr__(self) -> str:
@@ -310,7 +306,7 @@ class SymbolicSuperposition:
 
 def symbolic_universe(width: int) -> SymbolicSuperposition:
     """All 2^M product terms with coefficient 1: the expanded universe."""
-    _check_width(width)
+    _require_fit(width)
     if width > MAX_UNIVERSE_BITS:
         raise ScaleExceededError(
             f"symbolic universe enumeration capped at M={MAX_UNIVERSE_BITS}; "

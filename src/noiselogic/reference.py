@@ -33,6 +33,7 @@ from .errors import (
     LengthMismatchError,
     TraceParseError,
 )
+from .oracle import _index_mask
 
 # Universe amplitudes reach 2^M; int64 storage caps the engine at M = 62.
 MAX_NOISE_BITS = 62
@@ -290,9 +291,8 @@ class ReferenceSystem:
 
     def high(self, i: int) -> Trace:
         """High reference RTW of noise-bit ``i`` (1-based)."""
-        if not 1 <= i <= self.m:
-            raise DimensionError(f"noise-bit index {i} outside 1..{self.m}")
-        return _combine(self.t, [(1, 1 << (i - 1), ())], self, f"high_{i}")
+        mask = _index_mask(self.m, (i,))
+        return _combine(self.t, [(1, mask, ())], self, f"high_{mask.bit_length()}")
 
     @property
     def highs(self) -> tuple[Trace, ...]:

@@ -408,6 +408,13 @@ ERROR_PATH_TABLE = {
     "targets-non-ascii": ("gate not --input 1100 --targets 1,٣", 2, "comma-separated integers"),
     "target-non-ascii": ("gate xor --a 1100 --target ٢ --value 1", 2, "--target expects"),
     "value-non-ascii": ("gate xor --a 1100 --target 2 --value ١", 2, "--value expects"),
+    # argparse's own usage errors are one ``error:`` line too, with no usage block
+    "value-not-a-bit": ("gate xor --a 1100 --target 2 --value 2", 2, "invalid choice: 2"),
+    "format-xml": ("gate xor --a 1100 --b 1010 --format xml", 2, "invalid choice: 'xml'"),
+    "unknown-flag": ("gate xor --a 1100 --b 1010 --bogus", 2, "unrecognized arguments: --bogus"),
+    "flag-without-value": ("gate xor --a 1100 --b", 2, "argument --b: expected one argument"),
+    "no-subcommand": ("", 2, "the following arguments are required: command"),
+    "fit": ("gate xor --a 16 --m 4 --b 0b1", 2, "16 does not fit in 4 bits"),
 }
 
 
@@ -419,7 +426,7 @@ def test_error_paths(tmp_path, capsys, line, code, message):
     write_trace(generate_reference_system(4, 64, seed=1).high(1), tmp_path / "short.csv")
     (tmp_path / "deep.json").write_text('{"samples": ' + "[" * 100000)
     argv = [a.format(dir=tmp_path) for a in line.split()]
-    if argv[0] == "gate":
+    if argv[:1] == ["gate"]:
         argv += ["--out", tmp_path / "out"]
     got, out, err = run(capsys, *argv)
     assert got == code
@@ -427,7 +434,16 @@ def test_error_paths(tmp_path, capsys, line, code, message):
     assert "Traceback" not in out + err
     if code == 2:
         assert err.startswith("error:")
+        assert "usage:" not in out + err
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["gate", "-h"]])
+def test_help_still_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: noiselogic")
 
 
 def test_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
@@ -597,11 +613,7 @@ def test_any_argv_ends_in_a_documented_exit_code(tmp_path_factory, case):
         os.environ["NOISELOGIC_SEED"] = env_seed
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse's own usage errors, and only those
-                assert exc.code == 2
-                code = "argparse"
+            code = main(argv)
     finally:
         os.environ.pop("NOISELOGIC_SEED", None)
         if saved is not None:
@@ -609,10 +621,9 @@ def test_any_argv_ends_in_a_documented_exit_code(tmp_path_factory, case):
     out, err = out.getvalue(), err.getvalue()
     event(f"{argv[0]}: exit {code}")
     assert "Traceback" not in out + err
-    assert code in (0, 2, 3, 4, "argparse")
-    if code in (2, "argparse"):
-        # main's own refusals are one ``error:`` line; argparse's follow its usage line
-        assert err.startswith("error:") if code == 2 else "error:" in err
+    assert code in (0, 2, 3, 4)
+    if code == 2:  # main's refusals and argparse's alike are one ``error:`` line
+        assert err.startswith("error:") and "usage:" not in err
     if code == 0 and argv[0] == "gate":
         lines = out.splitlines()
         (engine,) = [line[len("engine: "):] for line in lines if line.startswith("engine: ")]

@@ -1,15 +1,26 @@
 """Symbolic oracle: mask algebra, gate semantics, universe, text format."""
 
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from noiselogic import (
+    BitString,
     ProductTerm,
     ScaleExceededError,
     SymbolicSuperposition,
+    TargetIndexError,
     WidthMismatchError,
+    apply_not,
+    generate_reference_system,
+    not_operator,
+    product_trace,
+    realize,
     symbolic_universe,
+    xnor_targeted,
+    xor_targeted,
 )
 
 
@@ -224,3 +235,102 @@ class TestTextFormat:
             SymbolicSuperposition.parse("1*[01] + 1*[011]")
         with pytest.raises(ValueError, match="cannot parse superposition term"):
             SymbolicSuperposition.parse("٣*[01]")  # int() reads the Arabic-Indic 3
+
+
+# -- one guard per M-bit decision: every entry point it serves, one message --
+
+SYS4 = generate_reference_system(4, 16, seed=3)
+SUP4 = SymbolicSuperposition.of(ProductTerm.zeros(4))
+
+# each receives a width-4 value and a width-5 one
+WIDTH_ENTRY_POINTS = {
+    "ProductTerm.__mul__": lambda w5: ProductTerm.zeros(4) * w5,
+    "from_terms": lambda w5: SymbolicSuperposition.from_terms(4, [(w5, 1)]),
+    "coefficient": lambda w5: SUP4.coefficient(w5),
+    "add": lambda w5: SUP4 + SymbolicSuperposition.of(w5),
+    "sub": lambda w5: SUP4 - SymbolicSuperposition.of(w5),
+    "superposition * term": lambda w5: SUP4 * w5,
+    "superposition * superposition": lambda w5: SUP4 * SymbolicSuperposition.of(w5),
+    "gate": lambda w5: SUP4.gate("xor", w5),
+    "parse": lambda w5: SymbolicSuperposition.parse(f"1*[0000] + 1*[{w5.text()}]"),
+    "parse with width": lambda w5: SymbolicSuperposition.parse(f"1*[{w5.text()}]", width=4),
+    "product_trace": lambda w5: product_trace(SYS4, w5),
+    "realize": lambda w5: realize(SYS4, SymbolicSuperposition.of(w5)),
+}
+
+
+@pytest.mark.parametrize("call", WIDTH_ENTRY_POINTS.values(), ids=WIDTH_ENTRY_POINTS)
+def test_width_guard(call):
+    with pytest.raises(WidthMismatchError, match=r"^widths differ: 5 != 4$"):
+        call(ProductTerm.from_value(5, 0b10110))
+
+
+INDEX_ENTRY_POINTS = {
+    "high": lambda i: SYS4.high(i),
+    "from_indices": lambda i: ProductTerm.from_indices(4, [i]),
+    "not_operator": lambda i: not_operator(SYS4, [i]),
+    "apply_not": lambda i: apply_not(SYS4, [i], SYS4.high(1)),
+    "xor_targeted": lambda i: xor_targeted(SYS4, SYS4.high(1), i, 1),
+    "xnor_targeted": lambda i: xnor_targeted(SYS4, SYS4.high(1), i, 1),
+}
+
+
+@pytest.mark.parametrize("index", [0, 5, 1.9])
+@pytest.mark.parametrize("call", INDEX_ENTRY_POINTS.values(), ids=INDEX_ENTRY_POINTS)
+def test_index_guard(call, index):
+    # 1.9 is refused, never truncated to bit 1
+    message = rf"^noise-bit indices {re.escape(repr([index]))} outside 1\.\.4$"
+    with pytest.raises(TargetIndexError, match=message):
+        call(index)
+
+
+def test_index_guard_names_every_bad_index_and_reads_true_as_one():
+    with pytest.raises(TargetIndexError, match=r"indices \[0, 5, 9, 2\.5\] outside 1\.\.4"):
+        not_operator(SYS4, [9, 2, 2.5, 5, 0, 5])
+    assert ProductTerm.from_indices(4, [True]) == ProductTerm.from_indices(4, [1])
+    assert SYS4.high(True) == SYS4.high(1)
+
+
+def test_target_index_error_is_a_width_mismatch_error():
+    assert issubclass(TargetIndexError, WidthMismatchError)
+    assert issubclass(TargetIndexError, ValueError)
+
+
+FIT_ENTRY_POINTS = {
+    "ProductTerm": lambda w, n: ProductTerm(w, n),
+    "SymbolicSuperposition": lambda w, n: SymbolicSuperposition(w, {0: 1, n: 1}),
+    "from_value": lambda w, n: ProductTerm.from_value(w, n),
+    "BitString": lambda w, n: BitString(w, n),
+}
+
+
+@pytest.mark.parametrize("width", [1, 4, 62])
+@pytest.mark.parametrize("call", FIT_ENTRY_POINTS.values(), ids=FIT_ENTRY_POINTS)
+def test_fit_guard(call, width):
+    for n in (1 << width, -1):
+        with pytest.raises(WidthMismatchError, match=f"^{n} does not fit in {width} bits$"):
+            call(width, n)
+    for bad_width in (0, -1, 2.0):  # a float width is refused, never truncated
+        with pytest.raises(WidthMismatchError, match=f"^width {bad_width} is not an integer >= 1$"):
+            call(bad_width, 0)
+    call(width, (1 << width) - 1)  # the largest value that fits
+
+
+@pytest.mark.parametrize("terms", [{1.5: 1}, {3: 1.5}])
+def test_superposition_refuses_non_integer_masks_and_coefficients(terms):
+    with pytest.raises(TypeError):  # int() would truncate them to mask 1, coefficient 1
+        SymbolicSuperposition(4, terms)
+
+
+@pytest.mark.parametrize("gate", [xor_targeted, xnor_targeted])
+def test_bit_value_guard(gate):
+    with pytest.raises(ValueError, match="^bit value p must be 0 or 1$"):
+        gate(SYS4, SYS4.high(1), 2, 2)
+
+
+def test_bit_string_construction_converts_nothing(monkeypatch):
+    def refuse(cls, width, value):
+        raise AssertionError("BitString converted on construction")
+
+    monkeypatch.setattr(ProductTerm, "from_value", classmethod(refuse))
+    assert BitString(4, 12).text == "1100"
