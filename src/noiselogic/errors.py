@@ -11,7 +11,7 @@ class NoiseLogicError(Exception):
 
 
 class DimensionError(NoiseLogicError, ValueError):
-    """A bit count or clock count is outside its valid range."""
+    """A bit count or clock count is not an integer in its valid range."""
 
 
 class LengthMismatchError(NoiseLogicError, ValueError):
@@ -20,7 +20,8 @@ class LengthMismatchError(NoiseLogicError, ValueError):
 
 class WidthMismatchError(NoiseLogicError, ValueError):
     """Two M-bit widths differ (``widths differ: 5 != 4``), a width is not an
-    integer >= 1, or a number does not fit it (``16 does not fit in 4 bits``)."""
+    integer >= 1, a number does not fit it (``16 does not fit in 4 bits``), or
+    a bit value p is not the integer 0 or 1."""
 
 
 class TargetIndexError(WidthMismatchError):

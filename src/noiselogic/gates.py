@@ -12,9 +12,10 @@ tables are theorems checked by the test suite, not an implementation path.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable
 
-from .errors import TargetIndexError
+from .errors import TargetIndexError, WidthMismatchError
 from .oracle import _index_mask
 from .reference import ReferenceSystem, Trace, _combine, _require_length, multiply_traces
 
@@ -70,13 +71,7 @@ def xor_targeted(sys: ReferenceSystem, signal: Trace, i: int, p: int) -> Trace:
     operand is the constant 1 and the input passes through untouched.
     Either way ``signal`` must span the system's T clocks.
     """
-    mask = _target_mask(sys, (i,))
-    if p not in (0, 1):
-        raise ValueError("bit value p must be 0 or 1")
-    if p == 1:
-        return _combine(sys.t, [(1, mask, (signal,))], sys)
-    _require_length(sys.t, signal)  # returned without a copy, so checked here
-    return signal
+    return _xor_bit(sys, signal, i, p, 0)
 
 
 def xnor_targeted(sys: ReferenceSystem, signal: Trace, i: int, p: int) -> Trace:
@@ -86,4 +81,16 @@ def xnor_targeted(sys: ReferenceSystem, signal: Trace, i: int, p: int) -> Trace:
     constant 1 and G_i(1) = high_i. Since high_i squared is the constant 1,
     G_i(1) cancels the trailing high_i, so XNOR with p is XOR with 1 - p.
     """
-    return xor_targeted(sys, signal, i, 1 - p)
+    return _xor_bit(sys, signal, i, p, 1)
+
+
+def _xor_bit(sys: ReferenceSystem, signal: Trace, i: int, p: int, flip: int) -> Trace:
+    """XOR noise-bit ``i`` with ``p ^ flip``; checks ``i``, then ``p`` (an int, 0 or 1)."""
+    mask = _target_mask(sys, (i,))
+    bit = operator.index(p) if hasattr(p, "__index__") else None
+    if bit not in (0, 1):
+        raise WidthMismatchError("bit value p must be 0 or 1")
+    if bit ^ flip:
+        return _combine(sys.t, [(1, mask, (signal,))], sys)
+    _require_length(sys.t, signal)  # returned without a copy, so checked here
+    return signal

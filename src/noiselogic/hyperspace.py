@@ -73,12 +73,12 @@ def superpose(traces: list[Trace], *, t: int | None = None) -> Trace:
     The empty sum is the all-zero trace; its length cannot be inferred,
     so pass ``t`` explicitly in that case.
     """
+    if t is None and not traces:
+        raise DimensionError("superposing nothing requires an explicit clock count t")
+    t = traces[0].t if t is None else _check_clock_count(t)
     if not traces:
-        if t is None:
-            raise DimensionError("superposing nothing requires an explicit clock count t")
-        _check_clock_count(t)
-        return _adopt(np.zeros(int(t), dtype=np.int64))
-    return _combine(traces[0].t if t is None else t, [(1, None, (x,)) for x in traces])
+        return _adopt(np.zeros(t, dtype=np.int64))
+    return _combine(t, [(1, None, (x,)) for x in traces])
 
 
 def universe(sys: ReferenceSystem) -> Trace:

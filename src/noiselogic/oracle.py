@@ -4,8 +4,8 @@ The noise-free counterpart of the signal engine. A product state is fully
 described by the set of noise-bit indices whose high RTW appears in the
 product; multiplying two product states XORs those sets (self-products
 vanish into the vacuum). Superpositions are formal integer-linear
-combinations of product terms. Everything here is exact, so it can serve
-as the correctness oracle for the numeric engine.
+combinations of product terms, built by one accumulator; a gate is one
+product. Everything here is exact: the numeric engine's correctness oracle.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
+from itertools import chain
 from types import MappingProxyType
 from typing import Iterable, Literal, Mapping
 
@@ -26,11 +27,12 @@ MAX_UNIVERSE_BITS = 20
 
 
 def _require_fit(width: int, *values: int) -> int:
-    """Refuse a width that is not an integer >= 1, or a value outside 0..2^width - 1."""
+    """Refuse a width that is not an integer >= 1, or a value outside 0..2^width - 1;
+    a value that is not an integer raises ``TypeError``."""
     bits = operator.index(width) if hasattr(width, "__index__") else 0
     if bits < 1:
         raise WidthMismatchError(f"width {width!r} is not an integer >= 1")
-    for n in values:
+    for n in map(operator.index, values):
         if n < 0 or n >> bits:
             raise WidthMismatchError(f"{n} does not fit in {bits} bits")
     return bits
@@ -138,12 +140,22 @@ class SymbolicSuperposition:
 
     __slots__ = ("width", "terms")
 
-    def __init__(self, width: int, terms: Mapping[int, int] | None = None):
-        terms = {operator.index(m): operator.index(c) for m, c in (terms or {}).items()}
-        width = _require_fit(width, *terms)
-        canonical = {mask: coeff for mask, coeff in terms.items() if coeff}
-        object.__setattr__(self, "width", width)
-        object.__setattr__(self, "terms", MappingProxyType(canonical))
+    def __new__(cls, width: int, terms: Mapping[int, int] | None = None):
+        return cls._sum(width, (terms or {}).items())
+
+    @classmethod
+    def _sum(cls, width: int, pairs: Iterable[tuple[int, int]]) -> "SymbolicSuperposition":
+        """The superposition of ``(mask, coeff)`` pairs: the only builder of a
+        term map. Like masks merge, zero sums are dropped, and a mask or
+        coefficient that is not an integer raises ``TypeError``."""
+        acc: dict[int, int] = {}
+        for mask, coeff in pairs:
+            mask = operator.index(mask)
+            acc[mask] = acc.get(mask, 0) + operator.index(coeff)
+        sup = object.__new__(cls)
+        object.__setattr__(sup, "width", _require_fit(width, *acc))
+        object.__setattr__(sup, "terms", MappingProxyType({m: c for m, c in acc.items() if c}))
+        return sup
 
     def __setattr__(self, name, value):
         raise AttributeError("SymbolicSuperposition is immutable")
@@ -163,11 +175,9 @@ class SymbolicSuperposition:
     def from_terms(
         cls, width: int, items: Iterable[tuple[ProductTerm, int]]
     ) -> "SymbolicSuperposition":
-        acc: dict[int, int] = {}
-        for term, coeff in items:
-            _require_width(width, term)
-            acc[term.mask] = acc.get(term.mask, 0) + int(coeff)
-        return cls(width, acc)
+        items = list(items)
+        _require_width(width, *(term for term, _ in items))
+        return cls._sum(width, ((term.mask, coeff) for term, coeff in items))
 
     # -- inspection --
 
@@ -191,56 +201,42 @@ class SymbolicSuperposition:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymbolicSuperposition):
             return NotImplemented
-        return self.width == other.width and dict(self.terms) == dict(other.terms)
+        return self.width == other.width and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.width, frozenset(self.terms.items())))
 
     # -- linear structure --
 
-    def _combine(self, other: "SymbolicSuperposition", sign: int) -> "SymbolicSuperposition":
-        _require_width(self.width, other)
-        acc = dict(self.terms)
-        for mask, coeff in other.terms.items():
-            acc[mask] = acc.get(mask, 0) + sign * coeff
-        return SymbolicSuperposition(self.width, acc)
-
     def __add__(self, other):
-        if isinstance(other, SymbolicSuperposition):
-            return self._combine(other, +1)
-        return NotImplemented
+        if not isinstance(other, SymbolicSuperposition):
+            return NotImplemented
+        _require_width(self.width, other)
+        return self._sum(self.width, chain(self.terms.items(), other.terms.items()))
 
     def __sub__(self, other):
-        if isinstance(other, SymbolicSuperposition):
-            return self._combine(other, -1)
-        return NotImplemented
+        return self + -other if isinstance(other, SymbolicSuperposition) else NotImplemented
 
     def __neg__(self):
-        return SymbolicSuperposition(self.width, {m: -c for m, c in self.terms.items()})
+        return self * -1
 
     def __mul__(self, other):
         """Scalar multiple, product-term multiple, or general product.
 
-        The general superposition product distributes multiplication over
-        both sums (masks XOR, coefficients multiply). It is well defined
-        signal-wise, but note that only vector-by-superposition products
-        carry gate semantics; see :meth:`gate`.
+        Each distributes over both sums (masks XOR, coefficients multiply),
+        an integer k being k times the vacuum. The general product is well
+        defined signal-wise, but only products with a term carry gate
+        semantics; see :meth:`gate`.
         """
-        if isinstance(other, (int,)):
-            return SymbolicSuperposition(
-                self.width, {m: c * other for m, c in self.terms.items()}
-            )
-        if isinstance(other, ProductTerm):
-            other = SymbolicSuperposition.of(other)
-        if isinstance(other, SymbolicSuperposition):
+        if isinstance(other, int):
+            factor = {0: other}
+        elif isinstance(other, (ProductTerm, SymbolicSuperposition)):
             _require_width(self.width, other)
-            acc: dict[int, int] = {}
-            for ma, ca in self.terms.items():
-                for mb, cb in other.terms.items():
-                    m = ma ^ mb
-                    acc[m] = acc.get(m, 0) + ca * cb
-            return SymbolicSuperposition(self.width, acc)
-        return NotImplemented
+            factor = other.terms if isinstance(other, SymbolicSuperposition) else {other.mask: 1}
+        else:
+            return NotImplemented
+        pairs = ((m ^ n, c * k) for n, k in factor.items() for m, c in self.terms.items())
+        return self._sum(self.width, pairs)
 
     __rmul__ = __mul__
 
@@ -249,11 +245,11 @@ class SymbolicSuperposition:
     def gate(self, kind: GateKind, operand: ProductTerm) -> "SymbolicSuperposition":
         """Apply a NOT/XOR/XNOR with a product-term operand to every term.
 
-        NOT and XOR multiply each term's mask by the operand mask; XNOR
-        additionally by the full all-ones mask. Coefficients are carried
-        through and like terms merge. Only product-term operands carry
-        gate meaning; pass superposition operands through ``*`` explicitly
-        if the raw signal product is what you want.
+        Each gate is one product, ``self * operand``; XNOR multiplies by
+        the all-ones term as well. Coefficients are carried through and
+        like terms merge. Only product-term operands carry gate meaning;
+        pass superposition operands through ``*`` explicitly if the raw
+        signal product is what you want.
         """
         if not isinstance(operand, ProductTerm):
             raise TypeError(
@@ -263,12 +259,9 @@ class SymbolicSuperposition:
         _require_width(self.width, operand)
         if kind not in ("not", "xor", "xnor"):
             raise ValueError(f"unknown gate kind {kind!r}")
-        mask = operand.mask
         if kind == "xnor":
-            mask ^= (1 << self.width) - 1
-        return SymbolicSuperposition(
-            self.width, {m ^ mask: c for m, c in self.terms.items()}
-        )
+            operand = operand * ProductTerm.ones(self.width)
+        return self * operand
 
     # -- text format --
 
@@ -289,16 +282,13 @@ class SymbolicSuperposition:
             if width is None:
                 raise ValueError("parsing the empty superposition requires a width")
             return cls.zero(width)
-        acc: dict[int, int] = {}
+        terms = []
         for part in text.split("+"):
             m = cls._TERM_RE.match(part.strip())
             if m is None:
                 raise ValueError(f"cannot parse superposition term {part.strip()!r}")
-            term = ProductTerm.from_text(m.group(2))
-            width = term.width if width is None else width
-            _require_width(width, term)
-            acc[term.mask] = acc.get(term.mask, 0) + int(m.group(1))
-        return cls(width, acc)
+            terms.append((ProductTerm.from_text(m.group(2)), int(m.group(1))))
+        return cls.from_terms(terms[0][0].width if width is None else width, terms)
 
     def __repr__(self) -> str:
         return f"<SymbolicSuperposition M={self.width} {self.format()}>"
@@ -312,4 +302,4 @@ def symbolic_universe(width: int) -> SymbolicSuperposition:
             f"symbolic universe enumeration capped at M={MAX_UNIVERSE_BITS}; "
             "use the factored signal-domain universe for larger systems"
         )
-    return SymbolicSuperposition(width, {mask: 1 for mask in range(1 << width)})
+    return SymbolicSuperposition._sum(width, ((mask, 1) for mask in range(1 << width)))

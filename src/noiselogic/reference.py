@@ -146,10 +146,12 @@ def _require_length(t: int, *traces: Trace) -> None:
             raise LengthMismatchError(f"trace lengths differ: {x.t} != {t}")
 
 
-def _check_clock_count(t: int) -> None:
-    """Refuse a clock count below 1, or past the int64 traces numpy can index."""
-    if not 1 <= t <= _MAX_CLOCKS:
-        raise DimensionError(f"clock count {t} is outside 1..{_MAX_CLOCKS}")
+def _check_clock_count(t: int) -> int:
+    """``t`` as an int (``True`` is 1) in 1..the longest int64 trace numpy can index."""
+    t = operator.index(t) if hasattr(t, "__index__") else t
+    if not (isinstance(t, int) and 1 <= t <= _MAX_CLOCKS):
+        raise DimensionError(f"clock count {t!r} is outside 1..{_MAX_CLOCKS}")
+    return t
 
 
 def max_abs(trace: Trace) -> int:
@@ -165,8 +167,7 @@ def check_headroom(bound: int) -> None:
 
 def low_reference(t: int, *, label: str | None = "low") -> Trace:
     """The squeezed logic-low reference: the constant trace of value 1."""
-    _check_clock_count(t)
-    return _adopt(np.ones(int(t), dtype=np.int64), label)
+    return _adopt(np.ones(_check_clock_count(t), dtype=np.int64), label)
 
 
 def multiply_traces(a: Trace, b: Trace) -> Trace:
@@ -322,10 +323,11 @@ def generate_reference_system(m: int, t: int, seed: int) -> ReferenceSystem:
     The streams differ from those of version 0.1.0, which mixed one word
     per reference and clock.
     """
-    _check_clock_count(t)
-    if not 1 <= m <= MAX_NOISE_BITS:
+    t = _check_clock_count(t)
+    m = operator.index(m) if hasattr(m, "__index__") else m
+    if not (isinstance(m, int) and 1 <= m <= MAX_NOISE_BITS):
         raise DimensionError(
-            f"m={m} is outside the engine's 1..{MAX_NOISE_BITS} noise-bits "
+            f"m={m!r} is outside the engine's 1..{MAX_NOISE_BITS} noise-bits "
             "(superposition amplitudes are stored as signed 64-bit integers)"
         )
     seed = operator.index(seed) % (1 << 64)

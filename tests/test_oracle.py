@@ -3,7 +3,7 @@
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noiselogic import (
@@ -316,6 +316,20 @@ def test_fit_guard(call, width):
     call(width, (1 << width) - 1)  # the largest value that fits
 
 
+@pytest.mark.parametrize("value", [1.5, "1", 2.0])
+@pytest.mark.parametrize("call", FIT_ENTRY_POINTS.values(), ids=FIT_ENTRY_POINTS)
+def test_fit_guard_refuses_non_integer_values(call, value):
+    # operator.index's own refusal, not an accident of the range arithmetic
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        call(4, value)
+
+
+@pytest.mark.parametrize("coeff", [1.5, "7", 2.9 + 0.5])
+def test_from_terms_refuses_non_integer_coefficients(coeff):
+    with pytest.raises(TypeError):  # int() would read them as 1, 7 and 3
+        SymbolicSuperposition.from_terms(4, [(ProductTerm(4, 3), coeff)])
+
+
 @pytest.mark.parametrize("terms", [{1.5: 1}, {3: 1.5}])
 def test_superposition_refuses_non_integer_masks_and_coefficients(terms):
     with pytest.raises(TypeError):  # int() would truncate them to mask 1, coefficient 1
@@ -328,9 +342,92 @@ def test_bit_value_guard(gate):
         gate(SYS4, SYS4.high(1), 2, 2)
 
 
+@pytest.mark.parametrize("p", [2, -1, "1", 1.0, 0.0, None])
+@pytest.mark.parametrize("gate", [xor_targeted, xnor_targeted])
+def test_bit_value_is_an_integer_0_or_1(gate, p):
+    # a float is refused like a float index, never read as 0 or 1
+    with pytest.raises(WidthMismatchError, match="^bit value p must be 0 or 1$"):
+        gate(SYS4, SYS4.high(1), 2, p)
+
+
+@pytest.mark.parametrize("p", [2, "1"])
+@pytest.mark.parametrize("gate", [xor_targeted, xnor_targeted])
+def test_index_is_checked_before_bit_value(gate, p):
+    with pytest.raises(TargetIndexError, match=r"^noise-bit indices \[5\] outside 1\.\.4$"):
+        gate(SYS4, SYS4.high(1), 5, p)
+
+
+@pytest.mark.parametrize("gate", [xor_targeted, xnor_targeted])
+def test_bit_value_true_reads_as_one(gate):
+    x = SYS4.high(1)
+    assert gate(SYS4, x, 2, True) == gate(SYS4, x, 2, 1)
+    assert gate(SYS4, x, 2, False) == gate(SYS4, x, 2, 0)
+
+
 def test_bit_string_construction_converts_nothing(monkeypatch):
     def refuse(cls, width, value):
         raise AssertionError("BitString converted on construction")
 
     monkeypatch.setattr(ProductTerm, "from_value", classmethod(refuse))
     assert BitString(4, 12).text == "1100"
+
+
+# -- the oracle against a plain dict algebra: like masks merge, zeros drop --
+
+
+def dict_sum(pairs):
+    acc = {}
+    for mask, coeff in pairs:
+        acc[mask] = acc.get(mask, 0) + coeff
+    return {mask: coeff for mask, coeff in acc.items() if coeff}
+
+
+def dict_product(a, b):
+    return dict_sum((ma ^ mb, ca * cb) for ma, ca in a.items() for mb, cb in b.items())
+
+
+@st.composite
+def term_lists(draw, width):
+    # a small pool of masks, so that masks repeat; coefficients may be 0 or negative
+    pool = draw(st.lists(st.integers(0, (1 << width) - 1), min_size=1, max_size=4))
+    pair = st.tuples(st.sampled_from(pool), st.integers(-3, 3))
+    return draw(st.lists(pair, max_size=8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_superposition_matches_dict_algebra(data):
+    width = data.draw(st.integers(1, 8), label="width")
+    pairs_a = data.draw(term_lists(width), label="a")
+    pairs_b = data.draw(term_lists(width), label="b")
+    k = data.draw(st.integers(-3, 3), label="k")
+    mask = data.draw(st.integers(0, (1 << width) - 1), label="operand")
+    operand, full = ProductTerm(width, mask), (1 << width) - 1
+
+    def sup(pairs):
+        terms = [(ProductTerm(width, m), c) for m, c in pairs]
+        return SymbolicSuperposition.from_terms(width, terms)
+
+    a, b = sup(pairs_a), sup(pairs_b)
+    ref_a, ref_b = dict_sum(pairs_a), dict_sum(pairs_b)
+    expected = {
+        "from_terms": (a, ref_a),
+        "of": (
+            SymbolicSuperposition.of(*(ProductTerm(width, m) for m, _ in pairs_a or [(0, 1)])),
+            dict_sum((m, 1) for m, _ in pairs_a or [(0, 1)]),
+        ),
+        "a + b": (a + b, dict_sum([*ref_a.items(), *ref_b.items()])),
+        "a - b": (a - b, dict_sum([*ref_a.items(), *((m, -c) for m, c in ref_b.items())])),
+        "-a": (-a, {m: -c for m, c in ref_a.items()}),
+        "a * k": (a * k, dict_sum((m, c * k) for m, c in ref_a.items())),
+        "k * a": (k * a, dict_sum((m, c * k) for m, c in ref_a.items())),
+        "a * term": (a * operand, {m ^ mask: c for m, c in ref_a.items()}),
+        "a * b": (a * b, dict_product(ref_a, ref_b)),
+        "not": (a.gate("not", operand), {m ^ mask: c for m, c in ref_a.items()}),
+        "xor": (a.gate("xor", operand), {m ^ mask: c for m, c in ref_a.items()}),
+        "xnor": (a.gate("xnor", operand), {m ^ mask ^ full: c for m, c in ref_a.items()}),
+        "parse": (SymbolicSuperposition.parse(a.format(), width=width), ref_a),
+    }
+    for name, (got, ref) in expected.items():
+        assert got.width == width, name
+        assert dict(got.terms) == ref, name

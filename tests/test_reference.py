@@ -4,6 +4,7 @@ import array
 import hashlib
 import itertools
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -167,6 +168,19 @@ def test_generation_rejects_oversized_m():
         generate_reference_system(63, 8, seed=1)
 
 
+@pytest.mark.parametrize("m", [4.0, 4.5, "4", None])
+def test_generation_refuses_a_non_integer_m(m):
+    message = rf"^m={re.escape(repr(m))} is outside the engine's 1\.\.62 "
+    with pytest.raises(DimensionError, match=message):
+        generate_reference_system(m, 8, seed=1)
+
+
+def test_generation_reads_true_as_one_bit():
+    sys = generate_reference_system(True, 8, seed=1)
+    assert type(sys.m) is int and sys.m == 1
+    assert sys == generate_reference_system(1, 8, seed=1)
+
+
 def test_generation_deterministic_and_seed_sensitive():
     a = generate_reference_system(5, 257, seed=99)
     b = generate_reference_system(5, 257, seed=99)
@@ -261,6 +275,7 @@ CLOCK_COUNT_CALLS = {
     "generate_reference_system": lambda t: generate_reference_system(4, t, 0),
     "low_reference": low_reference,
     "superpose-nothing": lambda t: superpose([], t=t),
+    "superpose-explicit-t": lambda t: superpose([low_reference(1)], t=t),
 }
 
 
@@ -269,6 +284,20 @@ CLOCK_COUNT_CALLS = {
 def test_clock_count_past_numpy_limit_is_refused(call, t):
     with pytest.raises(DimensionError, match=rf"^clock count {t} is outside 1\.\.\d+$"):
         call(t)
+
+
+@pytest.mark.parametrize("t", [4.5, 4.0, "4"])
+@pytest.mark.parametrize("call", CLOCK_COUNT_CALLS.values(), ids=CLOCK_COUNT_CALLS)
+def test_clock_count_must_be_an_integer(call, t):
+    # refused, never truncated to T = 4
+    message = rf"^clock count {re.escape(repr(t))} is outside 1\.\.\d+$"
+    with pytest.raises(DimensionError, match=message):
+        call(t)
+
+
+@pytest.mark.parametrize("call", CLOCK_COUNT_CALLS.values(), ids=CLOCK_COUNT_CALLS)
+def test_clock_count_true_reads_as_one(call):
+    assert call(True).t == 1
 
 
 def test_orthogonality_self_correlation_exact():
