@@ -24,7 +24,7 @@ from .errors import (
 from .hyperspace import BitString, universe
 from .oracle import ProductTerm, SymbolicSuperposition
 from .reference import (
-    INT64_HEADROOM, ReferenceSystem, Trace, _require_length, max_abs, product_signs,
+    INT64_HEADROOM, ReferenceSystem, Trace, _report_dict, _require_length, max_abs, product_signs,
 )
 
 #: Most candidates an :class:`AmbiguousDecodeError` lists; each is a Python
@@ -190,17 +190,11 @@ class AgreementReport:
     """Per-clock agreement between two traces over a T-clock window."""
 
     rate: float
-    full_agreement: bool
     t: int
+    full_agreement: bool
     theoretical_full_agreement: float
 
-    def as_dict(self) -> dict:
-        return {
-            "rate": self.rate,
-            "T": self.t,
-            "full_agreement": self.full_agreement,
-            "theoretical_full_agreement": self.theoretical_full_agreement,
-        }
+    as_dict = _report_dict
 
 
 def agreement_stats(a: Trace, b: Trace) -> AgreementReport:
@@ -232,15 +226,7 @@ class UniverseStats:
     expected_fraction: float
     standard_error: float
 
-    def as_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "T": self.t,
-            "amplitudes": list(self.amplitudes),
-            "nonzero_fraction": self.nonzero_fraction,
-            "expected_fraction": self.expected_fraction,
-            "standard_error": self.standard_error,
-        }
+    as_dict = _report_dict
 
 
 def universe_stats(sys: ReferenceSystem, u: Trace | None = None) -> UniverseStats:

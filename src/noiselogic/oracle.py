@@ -135,7 +135,7 @@ class SymbolicSuperposition:
 
     Canonical form: zero coefficients are never stored, so two equal
     superpositions have identical term maps. Instances are immutable;
-    all operations return new values.
+    all operations, copy and pickle included, return new values.
     """
 
     __slots__ = ("width", "terms")
@@ -159,6 +159,9 @@ class SymbolicSuperposition:
 
     def __setattr__(self, name, value):
         raise AttributeError("SymbolicSuperposition is immutable")
+
+    def __reduce__(self):
+        return type(self), (self.width, dict(self.terms))
 
     @classmethod
     def zero(cls, width: int) -> "SymbolicSuperposition":

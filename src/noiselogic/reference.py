@@ -20,7 +20,7 @@ import json
 import json.scanner
 import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from math import prod
 from pathlib import Path
 from typing import Iterator
@@ -58,21 +58,30 @@ class Trace:
     states (samples in {+1, -1}) as well as superpositions (arbitrary
     integer samples). Immutable after construction: ``Trace(samples)``
     copies the caller's samples into a read-only int64 array, so later
-    writes to the caller's array do not reach the trace. The library's
+    writes to the caller's array do not reach the trace. The samples must
+    have an integer or bool dtype (unsigned ones below 2^63). The library's
     own results are computed into a fresh array and handed over read-only
-    without that copy.
+    without that copy. Copies and pickles rebuild through ``Trace(samples, label)``.
     """
 
     samples: np.ndarray
     label: str | None = None
 
     def __post_init__(self):
-        # a private copy: the caller keeps a writable reference to its array
-        arr = np.array(self.samples, dtype=np.int64)
+        arr = np.asarray(self.samples)
         if arr.ndim != 1 or arr.size < 1:
             raise DimensionError("a trace needs a one-dimensional, non-empty sample array")
+        if arr.dtype.kind not in "biu":
+            raise TypeError(f"trace samples must be integers, not {arr.dtype}")
+        if arr.dtype.kind == "u":  # int64 would wrap a sample past 2^63 - 1
+            check_headroom(int(arr.max()))
+        # a private copy: the caller keeps a writable reference to its array
+        arr = arr.astype(np.int64)
         arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
+
+    def __reduce__(self):
+        return Trace, (self.samples, self.label)
 
     @property
     def t(self) -> int:
@@ -278,17 +287,46 @@ def _negative_masks(seed: int, m: int, t: int) -> np.ndarray:
 class ReferenceSystem:
     """The M logic-high reference RTWs of a squeezed noise-bit system.
 
-    Stored as one word per clock: bit (i-1) of ``negative_masks[t]`` is set
-    iff high reference i is -1 at clock t. Every reference and product
-    state is derived from these words, and regeneration from (seed, m, t)
-    is bit-identical, so (m, t, seed) alone decide equality. The logic-low
-    reference (constant 1) is exposed as :attr:`low` but never stored.
+    ``ReferenceSystem(m, t, seed)`` is the one way to build it. It checks T,
+    then M (integers, ``True`` reading as 1), then reduces any integer seed
+    modulo 2^64 and stores it reduced, so seeds equal modulo 2^64 give equal
+    systems. Generation is deterministic: each clock draws one word from a
+    64-bit splitmix64 counter stream, and the M samples at that clock are M
+    bits of that one mixed word, so one mix serves every reference; the
+    words of distinct clocks come from distinct counter positions. A system
+    of fewer bits holds the first references of a wider one. The streams
+    differ from those of version 0.1.0, which mixed one word per reference
+    and clock.
+
+    Stored as one read-only word per clock: bit (i-1) of
+    ``negative_masks[t]`` is set iff high reference i is -1 at clock t.
+    Every reference and product state is derived from these words, and
+    regeneration is bit-identical, so (m, t, seed) alone decide equality,
+    and copies and pickles rebuild the system from those three integers. The
+    logic-low reference (constant 1) is exposed as :attr:`low` but never
+    stored.
     """
 
     m: int
     t: int
     seed: int
-    negative_masks: np.ndarray = field(repr=False, compare=False)
+    negative_masks: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        t = _check_clock_count(self.t)
+        m = operator.index(self.m) if hasattr(self.m, "__index__") else self.m
+        if not (isinstance(m, int) and 1 <= m <= MAX_NOISE_BITS):
+            raise DimensionError(
+                f"m={m!r} is outside the engine's 1..{MAX_NOISE_BITS} noise-bits "
+                "(superposition amplitudes are stored as signed 64-bit integers)"
+            )
+        seed = operator.index(self.seed) % (1 << 64)
+        for name, value in (("m", m), ("t", t), ("seed", seed)):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "negative_masks", _negative_masks(seed, m, t))
+
+    def __reduce__(self):
+        return ReferenceSystem, (self.m, self.t, self.seed)
 
     def high(self, i: int) -> Trace:
         """High reference RTW of noise-bit ``i`` (1-based)."""
@@ -311,27 +349,9 @@ class ReferenceSystem:
 
 
 def generate_reference_system(m: int, t: int, seed: int) -> ReferenceSystem:
-    """Generate the M orthogonal high-reference RTWs for (seed, m, t).
-
-    Deterministic: calling twice with equal arguments yields bit-identical
-    traces. Each clock draws one word from a 64-bit splitmix64 counter
-    stream, and the M samples at that clock are M bits of that one mixed
-    word, so one mix serves every reference; the words of distinct clocks
-    come from distinct counter positions. A system of fewer bits holds the
-    first references of a wider one. Any integer seed is reduced modulo
-    2^64 and stored reduced, so seeds equal modulo 2^64 give equal systems.
-    The streams differ from those of version 0.1.0, which mixed one word
-    per reference and clock.
-    """
-    t = _check_clock_count(t)
-    m = operator.index(m) if hasattr(m, "__index__") else m
-    if not (isinstance(m, int) and 1 <= m <= MAX_NOISE_BITS):
-        raise DimensionError(
-            f"m={m!r} is outside the engine's 1..{MAX_NOISE_BITS} noise-bits "
-            "(superposition amplitudes are stored as signed 64-bit integers)"
-        )
-    seed = operator.index(seed) % (1 << 64)
-    return ReferenceSystem(m=m, t=t, seed=seed, negative_masks=_negative_masks(seed, m, t))
+    """The M orthogonal high-reference RTWs for (seed, m, t):
+    ``ReferenceSystem(m, t, seed)``, which checks and generates them."""
+    return ReferenceSystem(m, t, seed)
 
 
 # --- orthogonality checking -------------------------------------------------
@@ -340,6 +360,16 @@ def generate_reference_system(m: int, t: int, seed: int) -> ReferenceSystem:
 #: (any +/-1 average passes), so such windows are reported as inconclusive
 #: rather than passing or failing.
 PASS, FAIL, INCONCLUSIVE = "pass", "fail", "inconclusive"
+
+
+def _report_dict(report) -> dict:
+    """A stats report as JSON values: one key per field in field order, ``t``
+    written ``"T"``, tuples as lists and the reports in them as dicts."""
+    values = {"T" if f.name == "t" else f.name: getattr(report, f.name) for f in fields(report)}
+    for key, value in values.items():
+        if isinstance(value, tuple):
+            values[key] = [_report_dict(v) if is_dataclass(v) else v for v in value]
+    return values
 
 
 @dataclass(frozen=True)
@@ -371,16 +401,7 @@ class OrthogonalityReport:
     def distinct_pairs(self) -> Iterator[PairCorrelation]:
         return (p for p in self.pairs if not p.is_self)
 
-    def as_dict(self) -> dict:
-        return {
-            "T": self.t,
-            "z": self.z,
-            "bound": self.bound,
-            "pairs": [
-                {"i": p.i, "k": p.k, "correlation": p.correlation, "status": p.status}
-                for p in self.pairs
-            ],
-        }
+    as_dict = _report_dict
 
 
 def check_orthogonality(sys: ReferenceSystem, z: float = 4.0) -> OrthogonalityReport:

@@ -19,6 +19,7 @@ from noiselogic import (
     Trace,
     agreement_stats,
     apply_not,
+    check_orthogonality,
     decode_product,
     decode_superposition,
     generate_reference_system,
@@ -349,3 +350,36 @@ class TestUniverseStats:
         stats = universe_stats(generate_reference_system(1, u.t, seed=0), u)
         assert stats.amplitudes == tuple(np.unique(u.samples).tolist())
         assert all(type(a) is int for a in stats.amplitudes)
+
+
+# repr() of each report's as_dict() for M=3 (orthogonality: M=2), T=64: key
+# order, values and their types (a list, never a tuple), as the CLI writes them
+REPORT_DICTS = {
+    (0, "agreement"): "{'rate': 0.53125, 'T': 64, 'full_agreement': False, "
+    "'theoretical_full_agreement': 5.421010862427522e-20}",
+    (0, "universe"): "{'m': 3, 'T': 64, 'amplitudes': [0, 8], 'nonzero_fraction': 0.140625, "
+    "'expected_fraction': 0.125, 'standard_error': 0.04345428801032615}",
+    (0, "orthogonality"): "{'T': 64, 'z': 4.0, 'bound': 0.5, 'pairs': ["
+    "{'i': 1, 'k': 1, 'correlation': 1.0, 'status': 'pass'}, "
+    "{'i': 1, 'k': 2, 'correlation': 0.0625, 'status': 'pass'}, "
+    "{'i': 2, 'k': 2, 'correlation': 1.0, 'status': 'pass'}]}",
+    (3, "agreement"): "{'rate': 0.453125, 'T': 64, 'full_agreement': False, "
+    "'theoretical_full_agreement': 5.421010862427522e-20}",
+    (3, "universe"): "{'m': 3, 'T': 64, 'amplitudes': [0, 8], 'nonzero_fraction': 0.0625, "
+    "'expected_fraction': 0.125, 'standard_error': 0.030257682392245445}",
+    (3, "orthogonality"): "{'T': 64, 'z': 4.0, 'bound': 0.5, 'pairs': ["
+    "{'i': 1, 'k': 1, 'correlation': 1.0, 'status': 'pass'}, "
+    "{'i': 1, 'k': 2, 'correlation': -0.09375, 'status': 'pass'}, "
+    "{'i': 2, 'k': 2, 'correlation': 1.0, 'status': 'pass'}]}",
+}
+
+
+@pytest.mark.parametrize("seed,kind", list(REPORT_DICTS), ids=[f"{k}-{s}" for s, k in REPORT_DICTS])
+def test_report_dicts_are_pinned(seed, kind):
+    sys = generate_reference_system(3, 64, seed)
+    report = {
+        "agreement": lambda: agreement_stats(sys.high(1), sys.high(2)),
+        "universe": lambda: universe_stats(sys),
+        "orthogonality": lambda: check_orthogonality(generate_reference_system(2, 64, seed)),
+    }[kind]()
+    assert repr(report.as_dict()) == REPORT_DICTS[seed, kind]

@@ -125,6 +125,19 @@ class TestUniverse:
         assert stats["expected_fraction"] == 0.0625
         assert json.loads(out.splitlines()[-1]) == stats
 
+    def test_json_output_bytes_are_pinned(self, tmp_path, capsys, monkeypatch):
+        # the stats file is the last stdout line, byte for byte
+        monkeypatch.chdir(tmp_path)
+        argv = ["universe", "--m", 4, "--t", 64, "--seed", 3, "--format", "json", "--out", "outu"]
+        code, out, _ = run(capsys, *argv)
+        payload = (
+            '{"m": 4, "T": 64, "amplitudes": [0, 16], "nonzero_fraction": 0.015625, '
+            '"expected_fraction": 0.0625, "standard_error": 0.015502449088269086}\n'
+        )
+        assert code == 0
+        assert out == "wrote outu/universe.json\nwrote outu/universe_stats.json\n" + payload
+        assert (tmp_path / "outu" / "universe_stats.json").read_bytes() == payload.encode()
+
     def test_m1_amplitudes(self, tmp_path, capsys):
         code, out, _ = run(capsys, "universe", "--m", 1, "--out", tmp_path)
         assert code == 0

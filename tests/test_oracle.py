@@ -1,5 +1,7 @@
 """Symbolic oracle: mask algebra, gate semantics, universe, text format."""
 
+import copy
+import pickle
 import re
 
 import pytest
@@ -431,3 +433,18 @@ def test_superposition_matches_dict_algebra(data):
     for name, (got, ref) in expected.items():
         assert got.width == width, name
         assert dict(got.terms) == ref, name
+
+
+@pytest.mark.parametrize(
+    "how",
+    [copy.copy, copy.deepcopy, lambda sup: pickle.loads(pickle.dumps(sup))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_superposition_copies_are_equal_immutable_values(how):
+    sup = SymbolicSuperposition(4, {0b1100: 3, 0b0011: -7, 0: 1})
+    again = how(sup)
+    assert again == sup and hash(again) == hash(sup)
+    with pytest.raises(TypeError):
+        again.terms[1] = 1
+    with pytest.raises(AttributeError):
+        again.width = 5

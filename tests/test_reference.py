@@ -1,9 +1,11 @@
 """Reference noise system: generation, algebra, orthogonality, serialization."""
 
 import array
+import copy
 import hashlib
 import itertools
 import json
+import pickle
 import re
 import tracemalloc
 
@@ -17,6 +19,7 @@ from noiselogic import (
     DimensionError,
     LengthMismatchError,
     ProductTerm,
+    ReferenceSystem,
     SymbolicSuperposition,
     Trace,
     TraceParseError,
@@ -151,6 +154,51 @@ def test_seed_is_reduced_modulo_2_64(seed, reduced):
     assert np.array_equal(a.negative_masks, b.negative_masks)
 
 
+def test_reference_system_takes_m_t_and_seed_only():
+    # the words are generated from (m, t, seed), never handed in
+    words = np.zeros(16, dtype=np.uint64)
+    with pytest.raises(TypeError, match="positional arguments"):
+        ReferenceSystem(4, 16, 1, words)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'negative_masks'"):
+        ReferenceSystem(m=4, t=16, seed=1, negative_masks=words)
+    sys, reduced = ReferenceSystem(4, 16, -1), generate_reference_system(4, 16, 2**64 - 1)
+    assert sys == reduced and sys.seed == 2**64 - 1
+    assert np.array_equal(sys.negative_masks, reduced.negative_masks)
+    assert not sys.negative_masks.flags.writeable
+
+
+@pytest.mark.parametrize("m", [0, 63, 4.0, 4.5, "4", None])
+def test_reference_system_checks_m_as_generation_does(m):
+    message = rf"^m={re.escape(repr(m))} is outside the engine's 1\.\.62 "
+    with pytest.raises(DimensionError, match=message):
+        ReferenceSystem(m, 8, 1)
+
+
+def test_reference_system_checks_t_then_m_then_seed():
+    with pytest.raises(DimensionError, match=r"^clock count 0 is outside"):
+        ReferenceSystem(0, 0, "x")
+    with pytest.raises(DimensionError, match=r"^m=0 is outside"):
+        ReferenceSystem(0, 8, "x")
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        ReferenceSystem(4, 8, "x")
+    sys = ReferenceSystem(True, True, True)
+    assert (type(sys.m), type(sys.t), type(sys.seed)) == (int, int, int)
+    assert sys == generate_reference_system(1, 1, 1)
+
+
+def test_reference_system_copies_are_rebuilt_from_m_t_seed():
+    # every copy is a fresh generation, read-only, and a pickle holds
+    # three integers, not 2^17 words
+    sys = generate_reference_system(62, 2**17, seed=23)
+    data = pickle.dumps(sys)
+    assert len(data) < 200
+    for again in (copy.copy(sys), copy.deepcopy(sys), pickle.loads(data)):
+        assert again == sys and hash(again) == hash(sys)
+        assert not again.negative_masks.flags.writeable
+        assert np.array_equal(again.negative_masks, sys.negative_masks)
+        assert again.high(62) == sys.high(62)
+
+
 def test_generation_minimal():
     sys = generate_reference_system(1, 1, seed=3)
     assert sys.high(1).t == 1
@@ -273,6 +321,7 @@ def test_length_mismatch_message(call):
 # would need 2^65 or 8*10^20 bytes); the engine refuses them before numpy sees them
 CLOCK_COUNT_CALLS = {
     "generate_reference_system": lambda t: generate_reference_system(4, t, 0),
+    "ReferenceSystem": lambda t: ReferenceSystem(4, t, 0),
     "low_reference": low_reference,
     "superpose-nothing": lambda t: superpose([], t=t),
     "superpose-explicit-t": lambda t: superpose([low_reference(1)], t=t),
@@ -338,6 +387,26 @@ def test_orthogonality_report_dict():
 def test_trace_rejects_empty():
     with pytest.raises(DimensionError):
         Trace(np.array([], dtype=np.int64))
+
+
+def test_trace_reads_integers_only():
+    for samples in ([1.5, -2.7], ["5", "-3"], np.array([2.0])):
+        with pytest.raises(TypeError, match=r"^trace samples must be integers, not "):
+            Trace(samples)
+    message = r"^\|amplitude\| can reach 18446744073709551615 >= 2\^63"
+    with pytest.raises(AmplitudeOverflowError, match=message):
+        Trace(np.array([2**64 - 1], dtype=np.uint64))
+    # bool and integer samples read as int64, unsigned ones below 2^63 too
+    assert Trace([True, False]).samples.tolist() == [1, 0]
+    assert Trace(np.array([2**63 - 1, 0], dtype=np.uint64)).samples.tolist() == [2**63 - 1, 0]
+
+
+def test_trace_copies_stay_read_only():
+    trace = Trace([3, -1, 2], label="x")
+    for again in (copy.copy(trace), copy.deepcopy(trace), pickle.loads(pickle.dumps(trace))):
+        assert again == trace and again.label == "x"
+        with pytest.raises(ValueError):
+            again.samples[0] = 5
 
 
 def test_trace_immutable():
