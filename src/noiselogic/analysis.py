@@ -4,14 +4,19 @@ The signal engine identifies states by construction; these decoders read
 them back. Product-state decoding solves one GF(2) equation per clock by
 incremental elimination: it is exact for every M up to 62, and a random
 window reaches full rank after about M+2 clocks of at most M word XORs
-each, followed by one vectorised O(T) check. Superposition decoding
+each, followed by one vectorised O(T) check. A window too short for full
+rank leaves an affine GF(2) family of strings, which is raised as that
+space (one solution plus a kernel basis), never listed. Superposition decoding
 correlates against all 2^M product states through one Walsh–Hadamard
 transform and then verifies exactly, refusing near-matches.
 """
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -27,9 +32,6 @@ from .reference import (
     INT64_HEADROOM, ReferenceSystem, Trace, _report_dict, _require_length, max_abs, product_signs,
 )
 
-#: Most candidates an :class:`AmbiguousDecodeError` lists; each is a Python
-#: object, so past this only their count and the rank are reported.
-MAX_LISTED_CANDIDATES = 1 << 20
 #: Superposition decoding cap (2^M coefficients per round).
 MAX_DECODE_SUPERPOSITION_BITS = 12
 #: Correlate-round-verify rounds before superposition decoding gives up.
@@ -48,8 +50,10 @@ def decode_product(sys: ReferenceSystem, x: Trace) -> BitString:
     every clock at once, so a mismatch anywhere is also
     :class:`NoMatchError`. If the window ends with rank < M, exactly the
     2^(M-rank) masks of an affine space match every clock and
-    :class:`AmbiguousDecodeError` is raised, listing them in ascending
-    mask order when there are at most :data:`MAX_LISTED_CANDIDATES`.
+    :class:`AmbiguousDecodeError` is raised with that space as its
+    ``candidates``: one particular solution and M-rank kernel vectors, a
+    sequence of bit strings in ascending mask order whose length,
+    indexing and membership test each take O(M), for every rank.
     Every answer is exact, for every M up to the engine's 62 noise-bits.
     """
     _require_length(sys.t, x)
@@ -81,23 +85,65 @@ def decode_product(sys: ReferenceSystem, x: Trace) -> BitString:
         f"{1 << free} = 2^{free} product states match over T={sys.t} clocks "
         f"(GF(2) rank {rank} of M={sys.m}; window too short to separate candidates)"
     )
-    if 1 << free > MAX_LISTED_CANDIDATES:
-        raise AmbiguousDecodeError(
-            f"{message}; more than {MAX_LISTED_CANDIDATES} candidates, none listed"
-        )
-    # Each pivot bit depends only on higher bits, so the highest bit in
-    # which two solutions differ is free: counting through the free bits
-    # in binary enumerates the masks in ascending order. Bit reversal
-    # commutes with XOR, so the candidates' MSB-first values combine the
-    # same way and at most M+1 masks are converted.
+    # kernel: one solution of the homogeneous rows per free bit, with that
+    # free bit set and the others clear; bit reversal commutes with XOR, so
+    # the MSB-first values combine as the masks do
     homogeneous = {low: (row, 0) for low, (row, _) in basis.items()}
-    values = [ProductTerm(sys.m, _back_substitute(basis, 0)).value()]
-    for bit in range(sys.m):
-        if 1 << bit not in basis:
-            step = ProductTerm(sys.m, _back_substitute(homogeneous, 1 << bit)).value()
-            values += [v ^ step for v in values]
-    found = [BitString(sys.m, v) for v in values]
-    raise AmbiguousDecodeError(message, candidates=found)
+    kernel = tuple(
+        ProductTerm(sys.m, _back_substitute(homogeneous, 1 << bit)).value()
+        for bit in range(sys.m)
+        if 1 << bit not in basis
+    )
+    particular = ProductTerm(sys.m, _back_substitute(basis, 0)).value()
+    raise AmbiguousDecodeError(message, candidates=_CandidateSpace(sys.m, particular, kernel))
+
+
+@dataclass(frozen=True)
+class _CandidateSpace(Sequence):
+    """The bit strings ``particular`` XOR a subset of ``kernel`` (MSB-first
+    ``width``-bit values); item k XORs in the kernel values k's bits pick.
+    Each pivot depends only on higher mask bits, so the highest mask bit in
+    which two solutions differ is free, and k counts the masks in ascending
+    order. A kernel value's lowest set bit is its own free bit, which no
+    other kernel value sets, so ``in`` clears them one by one in O(width).
+    """
+
+    width: int
+    particular: int
+    kernel: tuple[int, ...]
+
+    def __len__(self) -> int:
+        return 1 << len(self.kernel)
+
+    def __getitem__(self, k: int) -> BitString:
+        k = operator.index(k)
+        if k < 0:
+            k += len(self)
+        if not 0 <= k < len(self):
+            raise IndexError(f"candidate index out of range 0..{len(self) - 1}")
+        value = self.particular
+        for j, step in enumerate(self.kernel):
+            if k >> j & 1:
+                value ^= step
+        return BitString(self.width, value)
+
+    def __iter__(self):
+        # from item k-1 to item k, the bits up to k's lowest set bit flip
+        flips = list(accumulate(self.kernel, operator.xor))
+        value = self.particular
+        yield BitString(self.width, value)
+        for k in range(1, len(self)):
+            value ^= flips[(k & -k).bit_length() - 1]
+            yield BitString(self.width, value)
+
+    def __contains__(self, candidate) -> bool:
+        if not isinstance(candidate, BitString) or candidate.width != self.width:
+            return False
+        rest = candidate.value ^ self.particular
+        for step in self.kernel:
+            if rest & step & -step:
+                rest ^= step
+        return rest == 0
 
 
 def _back_substitute(basis: dict[int, tuple[int, int]], mask: int) -> int:

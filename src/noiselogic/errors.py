@@ -49,14 +49,17 @@ class NoMatchError(DecodeError):
 class AmbiguousDecodeError(DecodeError):
     """More than one product state matches the trace (window too short).
 
-    ``candidates`` holds every matching bit string in ascending mask order
-    when there are at most 2^20 of them, and is empty otherwise; the
-    message gives their count and the GF(2) rank the window reached.
+    ``candidates`` is the sequence of every matching bit string in
+    ascending mask order, stored as given: from :func:`decode_product` it
+    is the 2^(M-rank) strings' GF(2) solution space, whose ``len``,
+    indexing and ``in`` take O(M) and whose iteration is lazy, so
+    ``tuple()`` of it enumerates them all. The message gives their count
+    and the GF(2) rank the window reached.
     """
 
     def __init__(self, message: str, candidates=()):
         super().__init__(message)
-        self.candidates = tuple(candidates)
+        self.candidates = candidates
 
 
 class SuperpositionDecodeError(DecodeError):

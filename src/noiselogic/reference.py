@@ -59,7 +59,9 @@ class Trace:
     integer samples). Immutable after construction: ``Trace(samples)``
     copies the caller's samples into a read-only int64 array, so later
     writes to the caller's array do not reach the trace. The samples must
-    have an integer or bool dtype (unsigned ones below 2^63). The library's
+    be integers (of an integer or bool dtype); one past the int64 range,
+    such as an unsigned 2^63 or a Python ``2**64``, raises
+    :class:`AmplitudeOverflowError`. The library's
     own results are computed into a fresh array and handed over read-only
     without that copy. Copies and pickles rebuild through ``Trace(samples, label)``.
     """
@@ -72,6 +74,9 @@ class Trace:
         if arr.ndim != 1 or arr.size < 1:
             raise DimensionError("a trace needs a one-dimensional, non-empty sample array")
         if arr.dtype.kind not in "biu":
+            # numpy reads integers that no one integer dtype holds as float64 or object
+            if all(hasattr(v, "__index__") for v in self.samples):
+                check_headroom(max(abs(operator.index(v)) for v in self.samples))
             raise TypeError(f"trace samples must be integers, not {arr.dtype}")
         if arr.dtype.kind == "u":  # int64 would wrap a sample past 2^63 - 1
             check_headroom(int(arr.max()))
@@ -364,11 +369,14 @@ PASS, FAIL, INCONCLUSIVE = "pass", "fail", "inconclusive"
 
 def _report_dict(report) -> dict:
     """A stats report as JSON values: one key per field in field order, ``t``
-    written ``"T"``, tuples as lists and the reports in them as dicts."""
+    written ``"T"``, and tuples as lists. A tuple of records (such as
+    :class:`PairCorrelation`) becomes a list of their ``__dict__`` copies,
+    which a dataclass's ``__init__`` fills in field order."""
     values = {"T" if f.name == "t" else f.name: getattr(report, f.name) for f in fields(report)}
     for key, value in values.items():
         if isinstance(value, tuple):
-            values[key] = [_report_dict(v) if is_dataclass(v) else v for v in value]
+            records = value and is_dataclass(value[0])
+            values[key] = [v.__dict__.copy() for v in value] if records else list(value)
     return values
 
 

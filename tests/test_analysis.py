@@ -1,6 +1,7 @@
 """Decoders and statistics."""
 
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -97,14 +98,44 @@ class TestDecodeProduct:
         )
         ((mask, _),) = want.terms.items()
         assert decode_product(sys, x).text == ProductTerm(62, mask).text()
-        # too short a window leaves 2^(62-rank) candidates, far past listing
+        # too short a window leaves a space of 2^(62-rank) candidates, read
+        # by index and membership without listing them
         sys = generate_reference_system(62, 16, seed=3)
+        x = synthesize(sys, a)
         with pytest.raises(AmbiguousDecodeError) as info:
-            decode_product(sys, synthesize(sys, a))
+            decode_product(sys, x)
         rank = _gf2_rank(sys.negative_masks.tolist())
-        assert info.value.candidates == ()
+        found = info.value.candidates
+        assert len(found) == 1 << (62 - rank)
+        assert a in found
+        picked = [found[k] for k in (0, 1, len(found) // 3, -2, -1)]
+        assert all(synthesize(sys, c) == x for c in picked)
+        masks = [c.to_term().mask for c in picked]
+        assert masks == sorted(set(masks))
+        assert next(iter(found)) == picked[0]
         assert f"2^{62 - rank} product states" in str(info.value)
         assert f"rank {rank} of M=62" in str(info.value)
+
+    def test_ambiguity_past_2_to_the_20_is_one_space(self):
+        sys = generate_reference_system(62, 42, seed=3)
+        ones = BitString.from_text("1" * 62)
+        x = synthesize(sys, ones)
+        with pytest.raises(AmbiguousDecodeError) as info:
+            decode_product(sys, x)
+        found = info.value.candidates
+        assert len(found) == 1 << 20
+        for k in (0, len(found) // 2, len(found) - 1):
+            assert synthesize(sys, found[k]) == x
+        flipped = BitString(62, ones.value ^ 1 << 30)
+        assert synthesize(sys, flipped) != x
+        assert ones in found and flipped not in found
+        with pytest.raises(IndexError):
+            found[len(found)]
+        with pytest.raises(TypeError):
+            found[1.0]
+        restored = pickle.loads(pickle.dumps(info.value))
+        assert type(restored) is AmbiguousDecodeError and str(restored) == str(info.value)
+        assert restored.candidates == found
 
     @pytest.mark.parametrize("t", [1, 2, 3, 5, 8, 12, 16, 32, 128])
     @pytest.mark.parametrize("m", range(1, 13))
@@ -118,8 +149,17 @@ class TestDecodeProduct:
             samples = synthesize(sys, BitString(m, int(rng.integers(1 << m)))).samples.copy()
             samples[rng.integers(t)] *= -1
             inputs.append(Trace(samples))
+        strings = [BitString(m, n) for n in range(1 << m)]
         for x in inputs:
-            assert _outcome(decode_product, sys, x) == _outcome(_brute_force_decode, sys, x)
+            want = _outcome(_brute_force_decode, sys, x)
+            assert _outcome(decode_product, sys, x) == want
+            if isinstance(want, tuple):
+                with pytest.raises(AmbiguousDecodeError) as info:
+                    decode_product(sys, x)
+                survivors = set(want[1])
+                assert [s in info.value.candidates for s in strings] == [
+                    s in survivors for s in strings
+                ]
 
 
 def _brute_force_decode(sys, x):
@@ -267,7 +307,7 @@ def _outcome(decoder, sys, y):
     try:
         return decoder(sys, y)
     except AmbiguousDecodeError as exc:
-        return type(exc), exc.candidates
+        return type(exc), tuple(exc.candidates)
     except DecodeError as exc:
         return type(exc)
 

@@ -401,6 +401,12 @@ def test_trace_reads_integers_only():
     assert Trace(np.array([2**63 - 1, 0], dtype=np.uint64)).samples.tolist() == [2**63 - 1, 0]
 
 
+@pytest.mark.parametrize("samples, bound", [([-1, 2**63], 2**63), ([2**64], 2**64)])
+def test_trace_refuses_ints_past_int64_by_value(samples, bound):
+    with pytest.raises(AmplitudeOverflowError, match=rf"^\|amplitude\| can reach {bound} >= 2\^63"):
+        Trace(samples)
+
+
 def test_trace_copies_stay_read_only():
     trace = Trace([3, -1, 2], label="x")
     for again in (copy.copy(trace), copy.deepcopy(trace), pickle.loads(pickle.dumps(trace))):
