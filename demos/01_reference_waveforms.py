@@ -13,7 +13,6 @@ from noiselogic import (
     check_orthogonality,
     generate_reference_system,
     low_reference,
-    multiply_traces,
 )
 
 M, T, SEED = 4, 10_000, 7
@@ -33,10 +32,10 @@ print("\nbit-identical regeneration:", all(sys.high(i) == again.high(i) for i in
 
 # vacuum property: any RTW times itself collapses to the constant 1
 r = sys.high(2)
-print("self-product is the constant-1 vacuum:", multiply_traces(r, r) == sys.low)
+print("self-product is the constant-1 vacuum:", r * r == sys.low)
 
 # products of distinct references are again +/-1 telegraph waves
-r12 = multiply_traces(sys.high(1), sys.high(2))
+r12 = sys.high(1) * sys.high(2)
 print("product of two references stays +/-1:", r12.is_binary())
 
 # zero mean and zero cross-correlation, within the z/sqrt(T) window

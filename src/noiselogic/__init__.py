@@ -58,7 +58,6 @@ from .reference import (
     check_orthogonality,
     generate_reference_system,
     low_reference,
-    multiply_traces,
     read_trace,
     trace_from_csv,
     trace_from_json,
@@ -67,7 +66,7 @@ from .reference import (
     write_trace,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "AgreementReport",
@@ -100,7 +99,6 @@ __all__ = [
     "decode_superposition",
     "generate_reference_system",
     "low_reference",
-    "multiply_traces",
     "not_operator",
     "product_trace",
     "read_trace",

@@ -26,7 +26,7 @@ from .errors import (
     ScaleExceededError,
     SuperpositionDecodeError,
 )
-from .hyperspace import BitString, universe
+from .hyperspace import BitString
 from .oracle import ProductTerm, SymbolicSuperposition
 from .reference import (
     INT64_HEADROOM, ReferenceSystem, Trace, _report_dict, _require_length, max_abs, product_signs,
@@ -105,7 +105,8 @@ class _CandidateSpace(Sequence):
     Each pivot depends only on higher mask bits, so the highest mask bit in
     which two solutions differ is free, and k counts the masks in ascending
     order. A kernel value's lowest set bit is its own free bit, which no
-    other kernel value sets, so ``in`` clears them one by one in O(width).
+    other kernel value sets, so ``in``, ``index`` and ``count`` clear them
+    one by one in O(width).
     """
 
     width: int
@@ -136,14 +137,28 @@ class _CandidateSpace(Sequence):
             value ^= flips[(k & -k).bit_length() - 1]
             yield BitString(self.width, value)
 
-    def __contains__(self, candidate) -> bool:
+    def _position(self, candidate) -> int | None:
+        """The k of ``candidate`` (bit j: kernel value j cleared), or None."""
         if not isinstance(candidate, BitString) or candidate.width != self.width:
-            return False
-        rest = candidate.value ^ self.particular
-        for step in self.kernel:
+            return None
+        rest, k = candidate.value ^ self.particular, 0
+        for j, step in enumerate(self.kernel):
             if rest & step & -step:
                 rest ^= step
-        return rest == 0
+                k |= 1 << j
+        return k if rest == 0 else None
+
+    def __contains__(self, candidate) -> bool:
+        return self._position(candidate) is not None
+
+    def index(self, candidate, start: int = 0, stop: int | None = None) -> int:
+        k = self._position(candidate)
+        if k is None or k not in range(len(self))[start:stop]:
+            raise ValueError(f"{candidate!r} is not in the candidate space")
+        return k
+
+    def count(self, candidate) -> int:
+        return int(self._position(candidate) is not None)
 
 
 def _back_substitute(basis: dict[int, tuple[int, int]], mask: int) -> int:
@@ -190,10 +205,7 @@ def decode_superposition(sys: ReferenceSystem, y: Trace) -> SymbolicSuperpositio
     round that could leave int64 is refused, never verified wrapped.
     """
     if sys.m > MAX_DECODE_SUPERPOSITION_BITS:
-        raise ScaleExceededError(
-            f"superposition decoding uses 2^M basis traces; capped at "
-            f"M={MAX_DECODE_SUPERPOSITION_BITS}"
-        )
+        raise ScaleExceededError(f"M={sys.m} exceeds decode cap {MAX_DECODE_SUPERPOSITION_BITS}")
     _require_length(sys.t, y)
 
     words = sys.negative_masks.astype(np.intp)
@@ -275,15 +287,13 @@ class UniverseStats:
     as_dict = _report_dict
 
 
-def universe_stats(sys: ReferenceSystem, u: Trace | None = None) -> UniverseStats:
-    """Census the universe's samples.
+def universe_stats(sys: ReferenceSystem, u: Trace) -> UniverseStats:
+    """Census the samples of ``u``, the universe of ``sys``.
 
     Each factor (1 + high_i) is 0 or 2, so amplitudes can only be 0 or
     2^M, and the nonzero fraction estimates 2^-M with the binomial
     standard error attached.
     """
-    if u is None:
-        u = universe(sys)
     _require_length(sys.t, u)
     # np.unique hashes int64 arrays; sorted, the distinct values are the
     # first of each run of equal neighbours

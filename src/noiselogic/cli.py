@@ -26,11 +26,12 @@ import re
 import sys as _sys
 from pathlib import Path
 
-from .analysis import MAX_DECODE_SUPERPOSITION_BITS, decode_superposition, universe_stats
+from .analysis import decode_superposition, universe_stats
 from .errors import (
     DecodeError,
     NoiseLogicError,
     OracleMismatchError,
+    ScaleExceededError,
     TraceParseError,
     WidthMismatchError,
 )
@@ -86,11 +87,8 @@ def _integer_flag(flag: str, base: int = 10):
     return lambda text: _integer(text, f"{flag} expects an integer, got {text!r}", base)
 
 
-def _resolve_m(m: int | None, default: int | None = None) -> int:
-    if m is None:
-        if default is None:
-            raise UsageError("bit width is needed; pass --m or use binary literals")
-        m = default
+def _resolve_m(m: int | None, default: int) -> int:
+    m = default if m is None else m
     if not 1 <= m <= MAX_NOISE_BITS:
         raise UsageError(f"--m must be in 1..{MAX_NOISE_BITS}, got {m}")
     return m
@@ -124,12 +122,12 @@ def _parse_operand(expr: str) -> list[tuple[int, str]]:
     return entries
 
 
-def _parse_literal(text: str, width: int | None = None) -> ProductTerm:
-    """Parse a bit-string literal.
+def _parse_literal(text: str, width: int) -> ProductTerm:
+    """Parse a bit-string literal of ``width`` bits.
 
-    Plain 0/1 strings are binary literals carrying their own width.
-    ``0b``-prefixed or decimal forms need an explicit width. Digits are
-    ASCII only, with no ``_`` separators.
+    Plain 0/1 strings carry their own width, which :func:`_infer_width`
+    has already made ``width``; ``0b``-prefixed and decimal forms take
+    ``width``. Digits are ASCII only, with no ``_`` separators.
     """
     text = text.strip()
     match = _LITERAL.fullmatch(text)
@@ -137,13 +135,7 @@ def _parse_literal(text: str, width: int | None = None) -> ProductTerm:
         raise WidthMismatchError(f"cannot parse bit string {text!r}")
     plain, binary, decimal = match.groups()
     if plain is not None:
-        if width is not None and len(plain) != width:
-            raise WidthMismatchError(
-                f"literal {text!r} has width {len(plain)}, expected {width}"
-            )
         return ProductTerm.from_text(plain)
-    if width is None:
-        raise WidthMismatchError(f"{text!r} needs an explicit width")
     if binary is not None:
         return ProductTerm.from_value(width, int(binary, 2))
     digits = decimal.lstrip("0") or "0"
@@ -165,7 +157,7 @@ def _infer_width(operands: list[list[tuple[int, str]]], m: int | None) -> int:
         raise UsageError("cannot infer bit width; pass --m or use binary literals")
     if len(widths) > 1:
         raise UsageError(f"conflicting bit widths {sorted(widths)}")
-    return _resolve_m(widths.pop())
+    return _resolve_m(m, widths.pop())
 
 
 def _operand_superposition(entries: list[tuple[int, str]], width: int) -> SymbolicSuperposition:
@@ -300,14 +292,13 @@ def cmd_gate(args) -> int:
     _write(args, out.with_label(f"gate_{args.kind}"), f"gate_{args.kind}")
 
     decoded = None
-    if width <= MAX_DECODE_SUPERPOSITION_BITS:
-        try:
-            decoded = decode_superposition(sys, out)
-            print(f"engine: {decoded.format()}")
-        except DecodeError as exc:
-            print(f"engine: decode failed ({exc})")
-    else:
-        print(f"engine: decode skipped (M={width} exceeds decode cap {MAX_DECODE_SUPERPOSITION_BITS})")
+    try:
+        decoded = decode_superposition(sys, out)
+        print(f"engine: {decoded.format()}")
+    except ScaleExceededError as exc:
+        print(f"engine: decode skipped ({exc})")
+    except DecodeError as exc:
+        print(f"engine: decode failed ({exc})")
     print(f"oracle: {predicted.format()}")
 
     if realize(sys, predicted) != out:

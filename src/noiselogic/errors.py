@@ -52,11 +52,12 @@ class AmbiguousDecodeError(DecodeError):
     ``candidates`` is the sequence of every matching bit string in
     ascending mask order, stored as given: from :func:`decode_product` it
     is the 2^(M-rank) strings' GF(2) solution space, whose ``len``,
-    indexing and ``in`` take O(M) and whose iteration is lazy, so
-    ``tuple()`` of it enumerates them all. The message gives their count
-    and the GF(2) rank the window reached.
+    indexing, ``in``, ``index`` and ``count`` take O(M) and whose
+    iteration is lazy, so ``tuple()`` of it enumerates them all. The
+    message gives their count and the GF(2) rank the window reached.
     """
 
+    # optional: unpickling calls the class with ``args``, the message alone
     def __init__(self, message: str, candidates=()):
         super().__init__(message)
         self.candidates = candidates

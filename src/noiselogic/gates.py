@@ -17,7 +17,7 @@ from typing import Iterable
 
 from .errors import TargetIndexError, WidthMismatchError
 from .oracle import _index_mask
-from .reference import ReferenceSystem, Trace, _combine, _require_length, multiply_traces
+from .reference import ReferenceSystem, Trace, _combine, _require_length
 
 
 def _target_mask(sys: ReferenceSystem, targets: Iterable[int]) -> int:
@@ -56,7 +56,7 @@ def xor_pair(a: Trace, b: Trace) -> Trace:
     noise-bit signals (each the constant 1 or high_i) it is the bit-level
     XOR, and ``xnor_targeted(sys, xor_pair(a, b), i, 0)`` the bit-level XNOR.
     """
-    return multiply_traces(a, b)
+    return _combine(a.t, [(1, None, (a, b))])
 
 
 def xnor_pair(sys: ReferenceSystem, a: Trace, b: Trace) -> Trace:

@@ -108,7 +108,7 @@ class Trace:
 
     def __mul__(self, other: "Trace | int") -> "Trace":
         if isinstance(other, Trace):
-            return multiply_traces(self, other)
+            return _combine(self.t, [(1, None, (self, other))])
         if isinstance(other, (int, np.integer)):
             return _combine(self.t, [(int(other), None, (self,))])
         return NotImplemented
@@ -179,18 +179,9 @@ def check_headroom(bound: int) -> None:
         raise AmplitudeOverflowError(f"|amplitude| can reach {bound} >= 2^63, past the int64 range")
 
 
-def low_reference(t: int, *, label: str | None = "low") -> Trace:
+def low_reference(t: int) -> Trace:
     """The squeezed logic-low reference: the constant trace of value 1."""
-    return _adopt(np.ones(_check_clock_count(t), dtype=np.int64), label)
-
-
-def multiply_traces(a: Trace, b: Trace) -> Trace:
-    """Sample-wise product of two traces of equal length.
-
-    The product of two RTWs is again an RTW, and the self-product of any
-    RTW is the constant-1 vacuum trace.
-    """
-    return _combine(a.t, [(1, None, (a, b))])
+    return _adopt(np.ones(_check_clock_count(t), dtype=np.int64), "low")
 
 
 def _mix64(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -339,11 +330,6 @@ class ReferenceSystem:
         return _combine(self.t, [(1, mask, ())], self, f"high_{mask.bit_length()}")
 
     @property
-    def highs(self) -> tuple[Trace, ...]:
-        """All M high references, derived from the masks on each access."""
-        return tuple(self.high(i) for i in range(1, self.m + 1))
-
-    @property
     def low(self) -> Trace:
         return low_reference(self.t)
 
@@ -416,25 +402,21 @@ def check_orthogonality(sys: ReferenceSystem, z: float = 4.0) -> OrthogonalityRe
     """Check zero mean cross-correlation between distinct reference RTWs.
 
     For each distinct pair (i, k) the time-averaged product must satisfy
-    |mean| <= z/sqrt(T); self-pairs average to exactly 1 because every
-    sample squared is 1. Degenerate windows (bound >= 1) are flagged
+    |mean| <= z/sqrt(T); self-pairs are reported as exactly 1, the mean
+    of every sample squared. Degenerate windows (bound >= 1) are flagged
     inconclusive.
     """
-    if z <= 0:
+    if not z > 0:  # nan too: its bound would leave every pair inconclusive
         raise ValueError("z must be positive")
     bound = z / np.sqrt(sys.t)
     conclusive = bound < 1.0
     pairs = []
     for i in range(1, sys.m + 1):
-        for k in range(i, sys.m + 1):
+        pairs.append(PairCorrelation(i, i, 1.0, PASS))
+        for k in range(i + 1, sys.m + 1):
             pair_mask = (1 << (i - 1)) ^ (1 << (k - 1))
             corr = float(product_signs(pair_mask, sys.negative_masks).mean())
-            if i == k:
-                status = PASS if corr == 1.0 else FAIL
-            elif not conclusive:
-                status = INCONCLUSIVE
-            else:
-                status = PASS if abs(corr) <= bound else FAIL
+            status = (PASS if abs(corr) <= bound else FAIL) if conclusive else INCONCLUSIVE
             pairs.append(PairCorrelation(i, k, corr, status))
     return OrthogonalityReport(t=sys.t, z=float(z), bound=float(bound), pairs=tuple(pairs))
 
@@ -790,8 +772,10 @@ def write_trace(trace: Trace, path: str | Path, fmt: str = "csv") -> Path:
 def read_trace(path: str | Path, fmt: str | None = None) -> Trace:
     """Read a UTF-8 trace file; format inferred from the suffix unless given."""
     path = Path(path)
+    unknown = f"unknown trace format {fmt!r}"
     if fmt is None:
         fmt = path.suffix.lstrip(".").lower()
+        unknown = f"cannot infer trace format for {path.name!r}"
     try:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -800,4 +784,4 @@ def read_trace(path: str | Path, fmt: str | None = None) -> Trace:
         return trace_from_csv(text)
     if fmt == "json":
         return trace_from_json(text)
-    raise TraceParseError(f"cannot infer trace format for {path.name!r}")
+    raise TraceParseError(unknown)

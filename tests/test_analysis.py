@@ -137,6 +137,26 @@ class TestDecodeProduct:
         assert type(restored) is AmbiguousDecodeError and str(restored) == str(info.value)
         assert restored.candidates == found
 
+    def test_index_and_count_of_2_to_the_46_candidates(self):
+        # Sequence's own index and count enumerate: on 2^46 they never return
+        sys = generate_reference_system(62, 16, seed=3)
+        x = synthesize(sys, BitString.from_text("1" * 62))
+        with pytest.raises(AmbiguousDecodeError) as info:
+            decode_product(sys, x)
+        found = info.value.candidates
+        assert len(found) == 1 << 46
+        for k in (0, 1, len(found) // 3, len(found) - 1):
+            assert found.index(found[k]) == k
+            assert found.index(found[k], k, k + 1) == k
+        assert found.count(found[5]) == 1
+        with pytest.raises(ValueError):
+            found.index(found[1], 2)
+        flipped = BitString(62, found[5].value ^ 1 << 30)
+        assert synthesize(sys, flipped) != x
+        assert found.count(flipped) == 0
+        with pytest.raises(ValueError):
+            found.index(flipped)
+
     @pytest.mark.parametrize("t", [1, 2, 3, 5, 8, 12, 16, 32, 128])
     @pytest.mark.parametrize("m", range(1, 13))
     def test_matches_brute_force_decoder(self, m, t):
@@ -341,7 +361,7 @@ class TestAgreement:
 class TestUniverseStats:
     def test_m4_census(self):
         sys = generate_reference_system(4, 10**5, seed=11)
-        stats = universe_stats(sys)
+        stats = universe_stats(sys, universe(sys))
         assert set(stats.amplitudes) <= {0, 16}
         assert stats.expected_fraction == 0.0625
         assert abs(stats.nonzero_fraction - 0.0625) <= 3 * np.sqrt(
@@ -350,19 +370,19 @@ class TestUniverseStats:
 
     def test_m1_census(self):
         sys = generate_reference_system(1, 10**4, seed=11)
-        stats = universe_stats(sys)
+        stats = universe_stats(sys, universe(sys))
         assert set(stats.amplitudes) <= {0, 2}
         assert stats.nonzero_fraction == pytest.approx(0.5, abs=0.02)
 
     def test_m6_census(self):
         sys = generate_reference_system(6, 10**5, seed=11)
-        stats = universe_stats(sys)
+        stats = universe_stats(sys, universe(sys))
         p = 2**-6
         assert set(stats.amplitudes) <= {0, 64}
         assert abs(stats.nonzero_fraction - p) <= 3 * np.sqrt(p * (1 - p) / 10**5)
 
     def test_json_shape(self, sys4):
-        d = universe_stats(sys4).as_dict()
+        d = universe_stats(sys4, universe(sys4)).as_dict()
         assert set(d) == {
             "m",
             "T",
@@ -419,7 +439,7 @@ def test_report_dicts_are_pinned(seed, kind):
     sys = generate_reference_system(3, 64, seed)
     report = {
         "agreement": lambda: agreement_stats(sys.high(1), sys.high(2)),
-        "universe": lambda: universe_stats(sys),
+        "universe": lambda: universe_stats(sys, universe(sys)),
         "orthogonality": lambda: check_orthogonality(generate_reference_system(2, 64, seed)),
     }[kind]()
     assert repr(report.as_dict()) == REPORT_DICTS[seed, kind]

@@ -97,6 +97,11 @@ class TestSynth:
         code, _, _ = run(capsys, "synth", "1100", "101", "--out", tmp_path)
         assert code == 2
 
+    def test_width_conflict_with_m(self, tmp_path, capsys):
+        code, _, err = run(capsys, "synth", "1100", "--m", 5, "--out", tmp_path)
+        assert code == 2
+        assert err == "error: conflicting bit widths [4, 5]\n"
+
     def test_decimal_needs_width(self, tmp_path, capsys):
         code, _, _ = run(capsys, "synth", "12", "--out", tmp_path)
         assert code == 2
@@ -244,6 +249,19 @@ class TestGate:
         assert code == 2
         assert err.startswith("error:") and "cannot parse bit string" in err
         assert "Traceback" not in err
+
+    def test_width_needs_m_or_a_plain_literal(self, tmp_path, capsys):
+        code, _, err = run(capsys, "gate", "xor", "--a", 12, "--b", 3, "--out", tmp_path)
+        assert code == 2
+        assert err == "error: cannot infer bit width; pass --m or use binary literals\n"
+
+    def test_width_conflict_between_operands(self, tmp_path, capsys):
+        code, _, err = run(
+            capsys, "gate", "xor", "--a", "1100", "--b", "10100", "--out", tmp_path
+        )
+        assert code == 2
+        assert err == "error: conflicting bit widths [4, 5]\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_decode_skipped_above_cap(self, tmp_path, capsys):
         code, out, _ = run(

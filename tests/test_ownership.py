@@ -16,7 +16,6 @@ from noiselogic import (
     apply_not,
     generate_reference_system,
     low_reference,
-    multiply_traces,
     not_operator,
     product_trace,
     read_trace,
@@ -59,10 +58,8 @@ def _producers(sys_, x, h, tmp_path):
     return [
         ("low_reference", lambda: low_reference(T)),
         ("ReferenceSystem.high", lambda: sys_.high(7)),
-        ("ReferenceSystem.highs", lambda: sys_.highs[0]),
         ("ReferenceSystem.low", lambda: sys_.low),
         ("ReferenceSystem.ones", lambda: sys_.ones),
-        ("multiply_traces", lambda: multiply_traces(x, h)),
         ("Trace.__mul__", lambda: x * h),
         ("Trace.__mul__ scalar", lambda: 3 * x),
         ("Trace.__add__", lambda: x + h),

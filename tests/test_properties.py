@@ -17,7 +17,6 @@ from noiselogic import (
     apply_not,
     decode_product,
     generate_reference_system,
-    multiply_traces,
     product_trace,
     realize,
     superpose,
@@ -154,5 +153,5 @@ def test_realize_is_multiplicative_on_products(m, seed):
         m, {int(v): int(c) for v, c in zip(rng.integers(0, 2**m, 2), (2, 1))}
     )
     lhs = realize(sys, sup_a * sup_b)
-    rhs = multiply_traces(realize(sys, sup_a), realize(sys, sup_b))
+    rhs = realize(sys, sup_a) * realize(sys, sup_b)
     assert lhs == rhs

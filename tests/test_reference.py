@@ -30,9 +30,9 @@ from noiselogic import (
     decode_superposition,
     generate_reference_system,
     low_reference,
-    multiply_traces,
     not_operator,
     product_trace,
+    read_trace,
     realize,
     superpose,
     trace_from_csv,
@@ -49,8 +49,9 @@ from noiselogic.reference import _TEXT_BLOCK
 def test_generation_domain():
     sys = generate_reference_system(4, 100, seed=7)
     assert sys.m == 4 and sys.t == 100
-    assert len(sys.highs) == 4
-    for high in sys.highs:
+    highs = [sys.high(i) for i in range(1, sys.m + 1)]
+    assert len(highs) == 4
+    for high in highs:
         assert high.t == 100
         assert set(np.unique(high.samples)) <= {-1, 1}
 
@@ -251,7 +252,7 @@ def test_per_trace_mean_bound():
     t = 10**5
     sys = generate_reference_system(4, t, seed=12345)
     bound = 4 / np.sqrt(t)
-    for high in sys.highs:
+    for high in [sys.high(i) for i in range(1, sys.m + 1)]:
         assert abs(high.samples.mean()) <= bound
 
 
@@ -265,19 +266,19 @@ def test_low_reference_values():
 def test_low_reference_is_multiplicative_identity():
     sys = generate_reference_system(2, 50, seed=5)
     x = sys.high(2)
-    assert multiply_traces(x, low_reference(50)) == x
+    assert x * low_reference(50) == x
 
 
 def test_self_product_is_vacuum():
     sys = generate_reference_system(4, 200, seed=8)
-    for high in sys.highs:
-        assert multiply_traces(high, high) == low_reference(200)
+    for high in [sys.high(i) for i in range(1, sys.m + 1)]:
+        assert high * high == low_reference(200)
 
 
 def test_product_matches_independent_loop():
     sys = generate_reference_system(4, 100, seed=21)
     a, b = sys.high(1), sys.high(2)
-    got = multiply_traces(a, b)
+    got = a * b
     expected = [int(a.samples[k]) * int(b.samples[k]) for k in range(100)]
     assert list(got.samples) == expected
 
@@ -286,12 +287,12 @@ def test_product_closure_stays_binary():
     sys = generate_reference_system(5, 300, seed=2)
     for i in range(1, 6):
         for k in range(i + 1, 6):
-            assert multiply_traces(sys.high(i), sys.high(k)).is_binary()
+            assert (sys.high(i) * sys.high(k)).is_binary()
 
 
 def test_product_length_mismatch():
     with pytest.raises(LengthMismatchError):
-        multiply_traces(low_reference(4), low_reference(5))
+        low_reference(4) * low_reference(5)
 
 
 # every call outside the gates that checks a trace against a clock count (the
@@ -299,7 +300,7 @@ def test_product_length_mismatch():
 # length named first; test_gates.py::test_gate_kernel_checks covers the gates
 LENGTH_GUARDED_CALLS = {
     "trace-add": lambda sys, short: sys.high(1) + short,
-    "multiply_traces": lambda sys, short: multiply_traces(sys.high(1), short),
+    "trace-mul": lambda sys, short: sys.high(1) * short,
     "superpose": lambda sys, short: superpose([sys.high(1), short]),
     "superpose-explicit-t": lambda sys, short: superpose([short], t=128),
     "decode_product": lambda sys, short: decode_product(sys, short),
@@ -377,6 +378,13 @@ def test_orthogonality_single_sample_inconclusive():
     assert report.ok
 
 
+@pytest.mark.parametrize("z", [0, -1.0, float("nan")])
+def test_orthogonality_refuses_a_z_that_is_not_positive(z):
+    # nan compares false with everything: its bound would pass silently
+    with pytest.raises(ValueError, match="z must be positive"):
+        check_orthogonality(generate_reference_system(2, 16, seed=1), z=z)
+
+
 def test_orthogonality_report_dict():
     sys = generate_reference_system(2, 16, seed=1)
     d = check_orthogonality(sys).as_dict()
@@ -428,7 +436,7 @@ def test_arithmetic_refuses_int64_overflow():
     with pytest.raises(AmplitudeOverflowError):
         2 * big
     with pytest.raises(AmplitudeOverflowError):
-        multiply_traces(big, Trace(np.array([2, 1], dtype=np.int64)))
+        big * Trace(np.array([2, 1], dtype=np.int64))
     with pytest.raises(AmplitudeOverflowError):
         -Trace(np.array([-(1 << 63)], dtype=np.int64))
     # just inside the range still works
@@ -453,9 +461,6 @@ HEADROOM_PRODUCERS = {
     "-": lambda sys, bound: (lambda: -_peak(-bound), [bound, -1]),
     "+": lambda sys, bound: (
         lambda: _peak(1 << 62) + _peak(bound - (1 << 62)), [bound, 2]
-    ),
-    "multiply_traces": lambda sys, bound: (
-        lambda: multiply_traces(*map(_peak, _FACTORS[bound])), [bound, 1]
     ),
     "xor_pair": lambda sys, bound: (
         lambda: xor_pair(*map(_peak, _FACTORS[bound])), [bound, 1]
@@ -535,7 +540,7 @@ def test_scalar_times_zero_trace_takes_any_integer():
 def test_trace_operator_sugar():
     sys = generate_reference_system(2, 32, seed=6)
     a, b = sys.high(1), sys.high(2)
-    assert a * b == multiply_traces(a, b)
+    assert (a * b).samples.tolist() == (a.samples * b.samples).tolist()
     assert (a + b).samples.tolist() == (a.samples + b.samples).tolist()
     assert (2 * a).samples.tolist() == (2 * a.samples).tolist()
     assert (-a).samples.tolist() == (-a.samples).tolist()
@@ -734,6 +739,20 @@ def test_json_parse_failures(text):
 def test_json_nesting_past_the_recursion_limit_is_a_parse_failure():
     with pytest.raises(TraceParseError, match="nested too deeply"):
         trace_from_json('{"samples": ' + "[" * 100000)
+
+
+def test_read_trace_names_a_given_format(tmp_path):
+    path = tmp_path / "a.csv"
+    path.write_text("clock,amplitude\n0,1\n")
+    with pytest.raises(TraceParseError, match=r"^unknown trace format 'xml'$"):
+        read_trace(path, fmt="xml")
+
+
+def test_read_trace_names_a_suffix_it_cannot_read(tmp_path):
+    path = tmp_path / "a.xml"
+    path.write_text("clock,amplitude\n0,1\n")
+    with pytest.raises(TraceParseError, match=r"^cannot infer trace format for 'a.xml'$"):
+        read_trace(path)
 
 
 def test_json_reader_takes_integers_beside_a_true_label():
