@@ -16,7 +16,6 @@ from __future__ import annotations
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -127,15 +126,6 @@ class _CandidateSpace(Sequence):
             if k >> j & 1:
                 value ^= step
         return BitString(self.width, value)
-
-    def __iter__(self):
-        # from item k-1 to item k, the bits up to k's lowest set bit flip
-        flips = list(accumulate(self.kernel, operator.xor))
-        value = self.particular
-        yield BitString(self.width, value)
-        for k in range(1, len(self)):
-            value ^= flips[(k & -k).bit_length() - 1]
-            yield BitString(self.width, value)
 
     def _position(self, candidate) -> int | None:
         """The k of ``candidate`` (bit j: kernel value j cleared), or None."""

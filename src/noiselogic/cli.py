@@ -46,6 +46,7 @@ from .hyperspace import product_trace, realize, superpose, universe
 from .oracle import ProductTerm, SymbolicSuperposition
 from .reference import (
     MAX_NOISE_BITS,
+    _FORMATS,
     generate_reference_system,
     read_trace,
     write_trace,
@@ -101,8 +102,7 @@ def _out_dir(args) -> Path:
 
 
 def _write(args, trace, name: str) -> None:
-    path = _out_dir(args) / f"{name}.{args.format}"
-    write_trace(trace, path, args.format)
+    path = write_trace(trace, _out_dir(args) / f"{name}.{args.format}")
     print(f"wrote {path}")
 
 
@@ -134,10 +134,8 @@ def _parse_literal(text: str, width: int) -> ProductTerm:
     if match is None:
         raise WidthMismatchError(f"cannot parse bit string {text!r}")
     plain, binary, decimal = match.groups()
-    if plain is not None:
-        return ProductTerm.from_text(plain)
-    if binary is not None:
-        return ProductTerm.from_value(width, int(binary, 2))
+    if decimal is None:
+        return ProductTerm.from_value(width, int(plain or binary, 2))
     digits = decimal.lstrip("0") or "0"
     # every width's values lie below 10^19: refuse a longer decimal before
     # int(), which refuses one of more than 4300 digits with a ValueError
@@ -207,7 +205,7 @@ def cmd_universe(args) -> int:
     stats = universe_stats(sys, u)
     payload = json.dumps(stats.as_dict())
     stats_path = _out_dir(args) / "universe_stats.json"
-    stats_path.write_text(payload + "\n")
+    stats_path.write_text(payload + "\n", encoding="utf-8")
     print(f"wrote {stats_path}")
     print(payload)
     return 0
@@ -345,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"generator seed (default {DEFAULT_SEED}; ${SEED_ENV_VAR} overrides)",
     )
     common.add_argument(
-        "--format", choices=("csv", "json"), default="csv", help="trace file format"
+        "--format", choices=tuple(_FORMATS), default="csv", help="trace file format"
     )
     common.add_argument("--out", default=".", help="output directory")
 

@@ -76,8 +76,6 @@ def superpose(traces: list[Trace], *, t: int | None = None) -> Trace:
     if t is None and not traces:
         raise DimensionError("superposing nothing requires an explicit clock count t")
     t = traces[0].t if t is None else _check_clock_count(t)
-    if not traces:
-        return _adopt(np.zeros(t, dtype=np.int64))
     return _combine(t, [(1, None, (x,)) for x in traces])
 
 

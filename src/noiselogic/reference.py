@@ -758,30 +758,35 @@ def trace_from_json(text: str) -> Trace:
     return trace
 
 
-def write_trace(trace: Trace, path: str | Path, fmt: str = "csv") -> Path:
+#: Trace file formats by name, each a (writer, reader) pair.
+_FORMATS = {"csv": (trace_to_csv, trace_from_csv), "json": (trace_to_json, trace_from_json)}
+
+
+def _codec(path: Path, fmt: str | None):
+    """The (writer, reader) pair of ``fmt``, or of ``path``'s suffix when
+    ``fmt`` is None; any other format raises before a file is touched."""
+    name = path.suffix.lstrip(".").lower() if fmt is None else fmt
+    if name not in _FORMATS:
+        if fmt is None:
+            raise TraceParseError(f"cannot infer trace format for {path.name!r}")
+        raise TraceParseError(f"unknown trace format {fmt!r}")
+    return _FORMATS[name]
+
+
+def write_trace(trace: Trace, path: str | Path, fmt: str | None = None) -> Path:
+    """Write a UTF-8 trace file; format inferred from the suffix unless given."""
     path = Path(path)
-    if fmt == "csv":
-        path.write_text(trace_to_csv(trace))
-    elif fmt == "json":
-        path.write_text(trace_to_json(trace))
-    else:
-        raise ValueError(f"unknown trace format {fmt!r}")
+    to_text, _ = _codec(path, fmt)
+    path.write_text(to_text(trace), encoding="utf-8")
     return path
 
 
 def read_trace(path: str | Path, fmt: str | None = None) -> Trace:
     """Read a UTF-8 trace file; format inferred from the suffix unless given."""
     path = Path(path)
-    unknown = f"unknown trace format {fmt!r}"
-    if fmt is None:
-        fmt = path.suffix.lstrip(".").lower()
-        unknown = f"cannot infer trace format for {path.name!r}"
+    _, from_text = _codec(path, fmt)
     try:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise TraceParseError(f"{path.name!r} is not UTF-8 text: {exc}") from exc
-    if fmt == "csv":
-        return trace_from_csv(text)
-    if fmt == "json":
-        return trace_from_json(text)
-    raise TraceParseError(unknown)
+    return from_text(text)

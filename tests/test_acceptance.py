@@ -348,8 +348,8 @@ _DOC_EXAMPLES = [
 ]
 
 
-def _run_cli(args, cwd):
-    """Run ``python -m noiselogic.cli`` on the package this suite imported.
+def _run_cli(args, cwd, flags=()):
+    """Run ``python [flags] -m noiselogic.cli`` on the package this suite imported.
 
     The package root goes first on the child's PYTHONPATH as an absolute
     path: a relative entry such as ``src`` does not resolve from ``cwd``,
@@ -359,7 +359,7 @@ def _run_cli(args, cwd):
     package_root = str(Path(noiselogic.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [_sys.executable, "-m", "noiselogic.cli", *args],
+        [_sys.executable, *flags, "-m", "noiselogic.cli", *args],
         cwd=cwd,
         env=env,
         capture_output=True,
@@ -405,3 +405,20 @@ def test_criterion_9_determinism_and_serialization(tmp_path):
             assert again == trace and again.label == trace.label
             assert trace_to_csv(trace_from_csv(trace_to_csv(trace))) == trace_to_csv(trace)
             assert trace_to_json(trace_from_json(trace_to_json(trace))) == trace_to_json(trace)
+
+
+def test_cli_files_name_their_encoding(tmp_path):
+    # a text file opened in the locale's encoding warns under these flags,
+    # and the warning is an error: every file the CLI writes or reads is UTF-8
+    flags = ["-X", "warn_default_encoding", "-W", "error::EncodingWarning"]
+    out = tmp_path / "out"
+    for args in (
+        ["refs", "--m", "4", "--seed", "7", "--out", out],
+        ["synth", "1000", "--format", "json", "--seed", "7", "--out", out],
+        ["universe", "--m", "4", "--seed", "7", "--out", out],
+        ["gate", "xor", "--a", "1100", "--b", "1010", "--seed", "7", "--out", out],
+        ["compare", out / "ref_high_01.csv", out / "synth_1000.json"],
+    ):
+        proc = _run_cli([str(a) for a in args], cwd=tmp_path, flags=flags)
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert b"EncodingWarning" not in proc.stdout + proc.stderr

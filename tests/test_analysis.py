@@ -177,9 +177,9 @@ class TestDecodeProduct:
                 with pytest.raises(AmbiguousDecodeError) as info:
                     decode_product(sys, x)
                 survivors = set(want[1])
-                assert [s in info.value.candidates for s in strings] == [
-                    s in survivors for s in strings
-                ]
+                found = info.value.candidates
+                assert [s in found for s in strings] == [s in survivors for s in strings]
+                assert list(found) == [found[k] for k in range(len(found))]
 
 
 def _brute_force_decode(sys, x):

@@ -215,6 +215,18 @@ class TestGate:
         sys = generate_reference_system(4, 128, seed=7)
         assert trace == synthesize(sys, "0110")
 
+    def test_plain_and_0b_literals_write_the_same(self, tmp_path, capsys):
+        runs = []
+        for form, operands in (
+            ("plain", ["--a", "1100", "--b", "1010"]),
+            ("0b", ["--a", "0b1100", "--b", "0b1010", "--m", 4]),
+        ):
+            out_dir = tmp_path / form
+            code, out, _ = run(capsys, "gate", "xor", *operands, "--out", out_dir)
+            csv = (out_dir / "gate_xor.csv").read_bytes()
+            runs.append((code, out.replace(str(out_dir), "OUT"), csv))
+        assert runs[0] == runs[1]
+
     def test_not_requires_targets(self, tmp_path, capsys):
         code, _, _ = run(capsys, "gate", "not", "--input", "1100", "--out", tmp_path)
         assert code == 2

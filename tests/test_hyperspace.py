@@ -124,6 +124,7 @@ class TestSuperpose:
             superpose([], t=0)
         z = superpose([], t=7)
         assert list(z.samples) == [0] * 7
+        assert z.samples.dtype == np.int64 and not z.samples.flags.writeable
 
     def test_length_mismatch(self, sys4):
         with pytest.raises(LengthMismatchError):

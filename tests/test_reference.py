@@ -40,6 +40,7 @@ from noiselogic import (
     trace_to_csv,
     trace_to_json,
     universe_stats,
+    write_trace,
     xnor_pair,
     xor_pair,
 )
@@ -753,6 +754,31 @@ def test_read_trace_names_a_suffix_it_cannot_read(tmp_path):
     path.write_text("clock,amplitude\n0,1\n")
     with pytest.raises(TraceParseError, match=r"^cannot infer trace format for 'a.xml'$"):
         read_trace(path)
+
+
+def test_write_trace_infers_the_format_read_trace_infers(tmp_path):
+    trace = generate_reference_system(3, 16, seed=1).high(2)
+    for name, to_text in (("a.csv", trace_to_csv), ("A.JSON", trace_to_json)):
+        path = write_trace(trace, tmp_path / name)
+        assert path.read_bytes() == to_text(trace).encode("utf-8")
+        assert read_trace(path) == trace
+
+
+@pytest.mark.parametrize(
+    "name,fmt,message",
+    [("a.xml", "xml", "unknown trace format 'xml'"),
+     ("a.txt", None, "cannot infer trace format for 'a.txt'")],
+)
+def test_write_trace_refuses_a_format_before_writing(tmp_path, name, fmt, message):
+    trace = generate_reference_system(3, 16, seed=1).high(2)
+    with pytest.raises(TraceParseError, match=f"^{message}$"):
+        write_trace(trace, tmp_path / name, fmt)
+    assert not (tmp_path / name).exists()
+
+
+def test_read_trace_refuses_a_format_before_opening_the_file(tmp_path):
+    with pytest.raises(TraceParseError, match=r"^unknown trace format 'xml'$"):
+        read_trace(tmp_path / "missing.csv", fmt="xml")
 
 
 def test_json_reader_takes_integers_beside_a_true_label():
