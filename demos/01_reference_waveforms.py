@@ -38,12 +38,12 @@ print("self-product is the constant-1 vacuum:", r * r == sys.low)
 r12 = sys.high(1) * sys.high(2)
 print("product of two references stays +/-1:", r12.is_binary())
 
-# zero mean and zero cross-correlation, within the z/sqrt(T) window
+# zero mean and zero cross-correlation, within the 4/sqrt(T) window
 print(f"\nper-trace means (bound {4 / np.sqrt(T):.4f}):")
 for i in range(1, M + 1):
     print(f"  high_{i}: {sys.high(i).samples.mean():+.4f}")
 
-report = check_orthogonality(sys, z=4)
+report = check_orthogonality(sys)
 print(f"pairwise cross-correlations (bound {report.bound:.4f}):")
 for pair in report.distinct_pairs():
     print(f"  ({pair.i},{pair.k}): {pair.correlation:+.4f}  [{pair.status}]")

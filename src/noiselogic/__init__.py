@@ -66,7 +66,7 @@ from .reference import (
     write_trace,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 __all__ = [
     "AgreementReport",

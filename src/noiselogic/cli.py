@@ -89,10 +89,12 @@ def _integer_flag(flag: str, base: int = 10):
 
 
 def _resolve_m(m: int | None, default: int) -> int:
-    m = default if m is None else m
-    if not 1 <= m <= MAX_NOISE_BITS:
-        raise UsageError(f"--m must be in 1..{MAX_NOISE_BITS}, got {m}")
-    return m
+    """``--m``, or else ``default``: a fixed width or a literal's width."""
+    width = default if m is None else m
+    if not 1 <= width <= MAX_NOISE_BITS:
+        source = "--m" if m is not None else "the literals' bit width"
+        raise UsageError(f"{source} must be in 1..{MAX_NOISE_BITS}, got {width}")
+    return width
 
 
 def _out_dir(args) -> Path:

@@ -32,11 +32,6 @@ class BitString:
     def __post_init__(self):
         _require_fit(self.width, self.value)
 
-    @classmethod
-    def from_text(cls, text: str) -> "BitString":
-        term = ProductTerm.from_text(text)
-        return cls(term.width, term.value())
-
     @property
     def text(self) -> str:
         return format(self.value, f"0{self.width}b")

@@ -11,7 +11,6 @@ product. Everything here is exact: the numeric engine's correctness oracle.
 from __future__ import annotations
 
 import operator
-import re
 from dataclasses import dataclass
 from itertools import chain
 from types import MappingProxyType
@@ -164,14 +163,12 @@ class SymbolicSuperposition:
         return type(self), (self.width, dict(self.terms))
 
     @classmethod
-    def zero(cls, width: int) -> "SymbolicSuperposition":
-        return cls(width, {})
-
-    @classmethod
     def of(cls, *terms: ProductTerm) -> "SymbolicSuperposition":
         """Superposition of the given terms, each with coefficient 1."""
         if not terms:
-            raise ValueError("need at least one term; use zero(width) for the empty sum")
+            raise ValueError(
+                "need at least one term; the empty sum is SymbolicSuperposition(width)"
+            )
         return cls.from_terms(terms[0].width, ((term, 1) for term in terms))
 
     @classmethod
@@ -274,24 +271,6 @@ class SymbolicSuperposition:
         if not items:
             return "0"
         return " + ".join(f"{c}*[{term.text()}]" for term, c in items)
-
-    _TERM_RE = re.compile(r"^(-?[0-9]+)\*\[([01]+)\]$")
-
-    @classmethod
-    def parse(cls, text: str, width: int | None = None) -> "SymbolicSuperposition":
-        """Parse the :meth:`format` grammar. ``width`` is required for ``"0"``."""
-        text = text.strip()
-        if text == "0":
-            if width is None:
-                raise ValueError("parsing the empty superposition requires a width")
-            return cls.zero(width)
-        terms = []
-        for part in text.split("+"):
-            m = cls._TERM_RE.match(part.strip())
-            if m is None:
-                raise ValueError(f"cannot parse superposition term {part.strip()!r}")
-            terms.append((ProductTerm.from_text(m.group(2)), int(m.group(1))))
-        return cls.from_terms(terms[0][0].width if width is None else width, terms)
 
     def __repr__(self) -> str:
         return f"<SymbolicSuperposition M={self.width} {self.format()}>"

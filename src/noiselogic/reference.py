@@ -398,16 +398,15 @@ class OrthogonalityReport:
     as_dict = _report_dict
 
 
-def check_orthogonality(sys: ReferenceSystem, z: float = 4.0) -> OrthogonalityReport:
+def check_orthogonality(sys: ReferenceSystem) -> OrthogonalityReport:
     """Check zero mean cross-correlation between distinct reference RTWs.
 
     For each distinct pair (i, k) the time-averaged product must satisfy
-    |mean| <= z/sqrt(T); self-pairs are reported as exactly 1, the mean
+    |mean| <= 4/sqrt(T); self-pairs are reported as exactly 1, the mean
     of every sample squared. Degenerate windows (bound >= 1) are flagged
     inconclusive.
     """
-    if not z > 0:  # nan too: its bound would leave every pair inconclusive
-        raise ValueError("z must be positive")
+    z = 4.0
     bound = z / np.sqrt(sys.t)
     conclusive = bound < 1.0
     pairs = []
@@ -418,7 +417,7 @@ def check_orthogonality(sys: ReferenceSystem, z: float = 4.0) -> OrthogonalityRe
             corr = float(product_signs(pair_mask, sys.negative_masks).mean())
             status = (PASS if abs(corr) <= bound else FAIL) if conclusive else INCONCLUSIVE
             pairs.append(PairCorrelation(i, k, corr, status))
-    return OrthogonalityReport(t=sys.t, z=float(z), bound=float(bound), pairs=tuple(pairs))
+    return OrthogonalityReport(t=sys.t, z=z, bound=float(bound), pairs=tuple(pairs))
 
 
 # --- trace serialization ----------------------------------------------------

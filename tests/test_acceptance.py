@@ -59,7 +59,7 @@ def criterion(number, name, budget_s):
 
 def _sup_of(width, *texts):
     return SymbolicSuperposition.from_terms(
-        width, [(BitString.from_text(s).to_term(), 1) for s in texts]
+        width, [(ProductTerm.from_text(s), 1) for s in texts]
     )
 
 
@@ -233,7 +233,7 @@ def test_criterion_7_reference_statistics():
         sys = generate_reference_system(8, t, seed=42)
         for high in [sys.high(i) for i in range(1, sys.m + 1)]:
             assert abs(float(high.samples.mean())) <= bound
-        report = check_orthogonality(sys, z=4)
+        report = check_orthogonality(sys)
         for pair in report.pairs:
             if pair.is_self:
                 assert pair.correlation == 1.0

@@ -118,7 +118,7 @@ class TestDecodeProduct:
 
     def test_ambiguity_past_2_to_the_20_is_one_space(self):
         sys = generate_reference_system(62, 42, seed=3)
-        ones = BitString.from_text("1" * 62)
+        ones = BitString(62, int("1" * 62, 2))
         x = synthesize(sys, ones)
         with pytest.raises(AmbiguousDecodeError) as info:
             decode_product(sys, x)
@@ -140,7 +140,7 @@ class TestDecodeProduct:
     def test_index_and_count_of_2_to_the_46_candidates(self):
         # Sequence's own index and count enumerate: on 2^46 they never return
         sys = generate_reference_system(62, 16, seed=3)
-        x = synthesize(sys, BitString.from_text("1" * 62))
+        x = synthesize(sys, BitString(62, int("1" * 62, 2)))
         with pytest.raises(AmbiguousDecodeError) as info:
             decode_product(sys, x)
         found = info.value.candidates
@@ -218,7 +218,7 @@ class TestDecodeSuperposition:
         expected = SymbolicSuperposition.from_terms(
             4,
             [
-                (BitString.from_text(s).to_term(), 1)
+                (ProductTerm.from_text(s), 1)
                 for s in ("0110", "0000", "0010")
             ],
         )

@@ -458,6 +458,18 @@ ERROR_PATH_TABLE = {
     "flag-without-value": ("gate xor --a 1100 --b", 2, "argument --b: expected one argument"),
     "no-subcommand": ("", 2, "the following arguments are required: command"),
     "fit": ("gate xor --a 16 --m 4 --b 0b1", 2, "16 does not fit in 4 bits"),
+    # a width out of range names its source: --m, or the literals when no --m is given
+    "m-over-limit": ("refs --m 63 --out {dir}/out", 2, "error: --m must be in 1..62, got 63"),
+    "synth-70-bit-literal": (
+        f"synth {'1' * 70} --out {{dir}}/out",
+        2,
+        "error: the literals' bit width must be in 1..62, got 70",
+    ),
+    "gate-70-bit-literals": (
+        f"gate xor --a {'1' * 70} --b {'1' * 70}",
+        2,
+        "error: the literals' bit width must be in 1..62, got 70",
+    ),
 }
 
 

@@ -128,7 +128,7 @@ class TestTargetedGates:
     @pytest.mark.parametrize("i", [1, 2, 3, 4])
     @pytest.mark.parametrize("p", [0, 1])
     def test_xor_targeted_matches_bitwise_oracle(self, sys4, text, i, p):
-        s = BitString.from_text(text)
+        s = BitString(len(text), int(text, 2))
         out = xor_targeted(sys4, synthesize(sys4, s), i, p)
         # independent oracle: bitwise XOR on the targeted bit of the string
         expected_value = s.value ^ (p << (4 - i))
@@ -138,7 +138,7 @@ class TestTargetedGates:
     @pytest.mark.parametrize("i", [1, 2, 3, 4])
     @pytest.mark.parametrize("p", [0, 1])
     def test_xnor_targeted_matches_bitwise_oracle(self, sys4, text, i, p):
-        s = BitString.from_text(text)
+        s = BitString(len(text), int(text, 2))
         out = xnor_targeted(sys4, synthesize(sys4, s), i, p)
         expected_value = s.value ^ ((p ^ 1) << (4 - i))
         assert decode_product(sys4, out) == BitString(4, expected_value)

@@ -33,7 +33,7 @@ class TestBitString:
     # BitString holds no algebra of its own: its bits, high indices, XOR and
     # complement are ProductTerm's, through to_term()
     def test_text_round_trip(self):
-        s = BitString.from_text("1100")
+        s = BitString(4, 0b1100)
         assert s.text == "1100"
         assert s.value == 12
         assert s.to_term().text() == "1100"
@@ -56,12 +56,12 @@ class TestBitString:
             BitString(3, 8)
 
     def test_xor_and_complement(self):
-        a, b = BitString.from_text("1100").to_term(), BitString.from_text("1010").to_term()
+        a, b = ProductTerm.from_text("1100"), ProductTerm.from_text("1010")
         assert (a * b).text() == "0110"
         assert (a * b * ProductTerm.ones(4)).text() == "1001"
 
     def test_term_round_trip(self):
-        s = BitString.from_text("10110")
+        s = BitString(5, 0b10110)
         assert s.to_term().indices == frozenset({1, 3, 4})
         assert s.to_term().text() == s.text
 
@@ -262,7 +262,7 @@ class TestBasisOrthogonality:
 
 class TestRealize:
     def test_empty_is_zero_signal(self, sys4):
-        z = realize(sys4, SymbolicSuperposition.zero(4))
+        z = realize(sys4, SymbolicSuperposition(4))
         assert not z.samples.any()
 
     def test_vacuum_term_is_constant_one(self, sys4):
@@ -295,7 +295,7 @@ class TestRealize:
 
     def test_width_mismatch(self, sys4):
         with pytest.raises(WidthMismatchError):
-            realize(sys4, SymbolicSuperposition.zero(5))
+            realize(sys4, SymbolicSuperposition(5))
 
     def test_product_trace_matches_synthesize(self, sys4):
         for n in range(16):
