@@ -9,11 +9,7 @@ statistics that make them usable as a basis.
 
 import numpy as np
 
-from noiselogic import (
-    check_orthogonality,
-    generate_reference_system,
-    low_reference,
-)
+from noiselogic import check_orthogonality, generate_reference_system
 
 M, T, SEED = 4, 10_000, 7
 
@@ -24,7 +20,7 @@ print(f"reference system: M={M} noise-bits, T={T} clocks, seed={SEED}")
 for i in range(1, M + 1):
     head = " ".join(f"{v:+d}" for v in sys.high(i).samples[:20])
     print(f"  high_{i}: {head} ...")
-print(f"  low   : {' '.join(f'{v:+d}' for v in low_reference(20).samples)} (constant)")
+print(f"  low   : {' '.join(f'{v:+d}' for v in sys.low.samples[:20])} (constant)")
 
 # determinism: the same seed rebuilds the same waveforms, sample for sample
 again = generate_reference_system(M, T, seed=SEED)

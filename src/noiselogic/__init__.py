@@ -34,7 +34,6 @@ from .errors import (
 )
 from .gates import (
     apply_not,
-    not_operator,
     xnor_pair,
     xnor_targeted,
     xor_pair,
@@ -57,7 +56,6 @@ from .reference import (
     Trace,
     check_orthogonality,
     generate_reference_system,
-    low_reference,
     read_trace,
     trace_from_csv,
     trace_from_json,
@@ -66,7 +64,7 @@ from .reference import (
     write_trace,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 __all__ = [
     "AgreementReport",
@@ -98,8 +96,6 @@ __all__ = [
     "decode_product",
     "decode_superposition",
     "generate_reference_system",
-    "low_reference",
-    "not_operator",
     "product_trace",
     "read_trace",
     "realize",

@@ -28,21 +28,10 @@ def _target_mask(sys: ReferenceSystem, targets: Iterable[int]) -> int:
     return mask
 
 
-def not_operator(sys: ReferenceSystem, targets: Iterable[int]) -> Trace:
-    """The NOT signal for a target set: product of the targeted highs.
-
-    Multiplying any signal by it flips the targeted bits of every product
-    state in that signal; applying it twice is the identity (each high
-    squared is the constant 1).
-    """
-    mask = _target_mask(sys, targets)
-    bits = "".join(str(i) for i in range(1, sys.m + 1) if mask >> (i - 1) & 1)
-    return _combine(sys.t, [(1, mask, ())], sys, "not_" + bits)
-
-
 def apply_not(sys: ReferenceSystem, targets: Iterable[int], signal: Trace) -> Trace:
     """Invert the targeted bits of every product state carried by ``signal``:
-    ``signal`` times :func:`not_operator`."""
+    ``signal`` times the product of the targeted high references. Applying
+    it twice is the identity (each high squared is the constant 1)."""
     return _combine(sys.t, [(1, _target_mask(sys, targets), (signal,))], sys)
 
 

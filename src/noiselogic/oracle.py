@@ -100,17 +100,6 @@ class ProductTerm:
         # the reversed MSB-first digits are the mask's binary, as in from_text
         return cls(width, int(format(value, f"0{width}b")[::-1], 2))
 
-    @property
-    def indices(self) -> frozenset[int]:
-        """The noise-bit indices whose high reference is in the product."""
-        return frozenset(
-            i for i in range(1, self.width + 1) if self.mask >> (i - 1) & 1
-        )
-
-    @property
-    def is_vacuum(self) -> bool:
-        return self.mask == 0
-
     def text(self) -> str:
         """MSB-first bit string; bit 1 is the leftmost character."""
         return format(self.mask, f"0{self.width}b")[::-1]
@@ -180,14 +169,6 @@ class SymbolicSuperposition:
         return cls._sum(width, ((term.mask, coeff) for term, coeff in items))
 
     # -- inspection --
-
-    def coefficient(self, term: ProductTerm) -> int:
-        _require_width(self.width, term)
-        return self.terms.get(term.mask, 0)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def product_terms(self) -> list[tuple[ProductTerm, int]]:
         """Terms and coefficients, sorted by the decimal string value."""

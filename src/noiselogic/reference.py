@@ -179,11 +179,6 @@ def check_headroom(bound: int) -> None:
         raise AmplitudeOverflowError(f"|amplitude| can reach {bound} >= 2^63, past the int64 range")
 
 
-def low_reference(t: int) -> Trace:
-    """The squeezed logic-low reference: the constant trace of value 1."""
-    return _adopt(np.ones(_check_clock_count(t), dtype=np.int64), "low")
-
-
 def _mix64(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """splitmix64 finalizer, applied to ``x`` in place; ``scratch`` is a
     same-shape buffer. Wraparound is the point, so callers silence
@@ -331,12 +326,8 @@ class ReferenceSystem:
 
     @property
     def low(self) -> Trace:
-        return low_reference(self.t)
-
-    @property
-    def ones(self) -> Trace:
-        """Product of all M high references: the all-high product string."""
-        return _combine(self.t, [(1, (1 << self.m) - 1, ())], self, "ones")
+        """The squeezed logic-low reference: the constant trace of value 1."""
+        return _adopt(np.ones(self.t, dtype=np.int64), "low")
 
 
 def generate_reference_system(m: int, t: int, seed: int) -> ReferenceSystem:

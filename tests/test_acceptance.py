@@ -14,6 +14,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import noiselogic
 from noiselogic import (
@@ -289,7 +290,8 @@ def test_criterion_8_property_suite():
         for _ in range(cases):  # XNOR = Ones * XOR
             sys = fresh()
             a, b = _random_state(rng, sys), _random_state(rng, sys)
-            assert xnor_pair(sys, a, b) == xor_pair(a, b) * sys.ones
+            ones = product_trace(sys, ProductTerm.ones(sys.m))
+            assert xnor_pair(sys, a, b) == xor_pair(a, b) * ones
 
         for _ in range(cases):  # NOT as targeted XOR with 1
             sys = fresh()
@@ -348,8 +350,8 @@ _DOC_EXAMPLES = [
 ]
 
 
-def _run_cli(args, cwd, flags=()):
-    """Run ``python [flags] -m noiselogic.cli`` on the package this suite imported.
+def _run_python(argv, cwd):
+    """Run ``python *argv`` against the package this suite imported.
 
     The package root goes first on the child's PYTHONPATH as an absolute
     path: a relative entry such as ``src`` does not resolve from ``cwd``,
@@ -359,12 +361,13 @@ def _run_cli(args, cwd, flags=()):
     package_root = str(Path(noiselogic.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [_sys.executable, *flags, "-m", "noiselogic.cli", *args],
-        cwd=cwd,
-        env=env,
-        capture_output=True,
-        timeout=120,
+        [_sys.executable, *argv], cwd=cwd, env=env, capture_output=True, timeout=120
     )
+
+
+def _run_cli(args, cwd, flags=()):
+    """Run ``python [flags] -m noiselogic.cli args`` on the package under test."""
+    return _run_python([*flags, "-m", "noiselogic.cli", *args], cwd)
 
 
 def test_criterion_9_determinism_and_serialization(tmp_path):
@@ -422,3 +425,15 @@ def test_cli_files_name_their_encoding(tmp_path):
         proc = _run_cli([str(a) for a in args], cwd=tmp_path, flags=flags)
         assert proc.returncode == 0, proc.stderr.decode()
         assert b"EncodingWarning" not in proc.stdout + proc.stderr
+
+
+_TESTS = Path(__file__).resolve().parent
+_DEMOS = sorted((_TESTS.parent / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", _DEMOS, ids=[d.stem for d in _DEMOS])
+def test_demo_output(demo, tmp_path):
+    # each demo's stdout is pinned byte for byte, and a warning fails its run
+    proc = _run_python(["-W", "error", str(demo)], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == (_TESTS / "demo_output" / f"{demo.stem}.txt").read_bytes()

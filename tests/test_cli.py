@@ -58,6 +58,20 @@ class TestRefs:
         assert read_trace(tmp_path / "ref_high_01.csv") == sys.high(1)
         assert read_trace(tmp_path / "ref_high_02.csv") == sys.high(2)
 
+    def test_json_files_carry_labels(self, tmp_path, capsys):
+        code, _, _ = run(
+            capsys, "refs", "--m", 2, "--t", 3, "--seed", 1, "--format", "json",
+            "--out", tmp_path,
+        )
+        assert code == 0
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == ["ref_high_01.json", "ref_high_02.json", "ref_low.json"]
+        low = (tmp_path / "ref_low.json").read_bytes()
+        assert low == b'{"T": 3, "label": "low", "samples": [1, 1, 1]}\n'
+        for i in (1, 2):
+            payload = json.loads((tmp_path / f"ref_high_0{i}.json").read_bytes())
+            assert payload["label"] == f"high_{i}"
+
     def test_rejects_m_zero(self, tmp_path, capsys):
         code, _, err = run(capsys, "refs", "--m", 0, "--out", tmp_path)
         assert code == 2

@@ -13,7 +13,6 @@ from noiselogic import (
     Trace,
     WidthMismatchError,
     generate_reference_system,
-    low_reference,
     product_trace,
     realize,
     superpose,
@@ -37,7 +36,7 @@ class TestBitString:
         assert s.text == "1100"
         assert s.value == 12
         assert s.to_term().text() == "1100"
-        assert s.to_term().indices == frozenset({1, 2})
+        assert s.to_term().mask == 0b0011  # index i is mask bit i-1
 
     # the CLI's bit-string literal grammar, which parses to a ProductTerm
     def test_parse_forms(self):
@@ -62,7 +61,7 @@ class TestBitString:
 
     def test_term_round_trip(self):
         s = BitString(5, 0b10110)
-        assert s.to_term().indices == frozenset({1, 3, 4})
+        assert s.to_term().mask == 0b01101  # indices 1, 3 and 4
         assert s.to_term().text() == s.text
 
 
@@ -72,7 +71,7 @@ class TestSynthesize:
         assert synthesize(sys4, "1100") == sys4.high(1) * sys4.high(2)
 
     def test_all_zeros_is_vacuum(self, sys4):
-        assert synthesize(sys4, "0000") == low_reference(100)
+        assert synthesize(sys4, "0000") == sys4.low
 
     def test_full_string_matches_four_way_loop(self, sys4):
         got = synthesize(sys4, "1111")
@@ -128,7 +127,7 @@ class TestSuperpose:
 
     def test_length_mismatch(self, sys4):
         with pytest.raises(LengthMismatchError):
-            superpose([sys4.low, low_reference(5)])
+            superpose([sys4.low, Trace(np.ones(5, dtype=np.int64))])
 
     def test_refuses_int64_overflow(self, sys4):
         big = Trace(np.full(100, 1 << 62, dtype=np.int64))
@@ -267,7 +266,7 @@ class TestRealize:
 
     def test_vacuum_term_is_constant_one(self, sys4):
         vac = SymbolicSuperposition.of(ProductTerm.zeros(4))
-        assert realize(sys4, vac) == low_reference(100)
+        assert realize(sys4, vac) == sys4.low
 
     def test_worked_two_term_output(self, sys4):
         # {2,3} + {2} realizes as high_2*high_3 + high_2
@@ -290,8 +289,8 @@ class TestRealize:
 
     def test_vacuum_naming_coincides(self, sys4):
         # all-zeros string == low reference == realized vacuum term
-        assert synthesize(sys4, "0000") == low_reference(100)
-        assert realize(sys4, SymbolicSuperposition.of(ProductTerm.zeros(4))) == low_reference(100)
+        assert synthesize(sys4, "0000") == sys4.low
+        assert realize(sys4, SymbolicSuperposition.of(ProductTerm.zeros(4))) == sys4.low
 
     def test_width_mismatch(self, sys4):
         with pytest.raises(WidthMismatchError):

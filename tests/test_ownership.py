@@ -15,8 +15,6 @@ from noiselogic import (
     Trace,
     apply_not,
     generate_reference_system,
-    low_reference,
-    not_operator,
     product_trace,
     read_trace,
     realize,
@@ -56,10 +54,9 @@ def _producers(sys_, x, h, tmp_path):
     sup = SymbolicSuperposition(M, {0: 1, 5: -3, (1 << 61) | 9: 7})
     csv_path = write_trace(x, tmp_path / "x.csv")
     return [
-        ("low_reference", lambda: low_reference(T)),
         ("ReferenceSystem.high", lambda: sys_.high(7)),
         ("ReferenceSystem.low", lambda: sys_.low),
-        ("ReferenceSystem.ones", lambda: sys_.ones),
+        ("product_trace ones", lambda: product_trace(sys_, ProductTerm.ones(M))),
         ("Trace.__mul__", lambda: x * h),
         ("Trace.__mul__ scalar", lambda: 3 * x),
         ("Trace.__add__", lambda: x + h),
@@ -71,7 +68,6 @@ def _producers(sys_, x, h, tmp_path):
         ("superpose empty", lambda: superpose([], t=T)),
         ("universe", lambda: universe(sys_)),
         ("realize", lambda: realize(sys_, sup)),
-        ("not_operator", lambda: not_operator(sys_, [1, 4])),
         ("apply_not", lambda: apply_not(sys_, [1, 4], x)),
         ("xor_pair", lambda: xor_pair(x, h)),
         ("xnor_pair", lambda: xnor_pair(sys_, x, h)),
@@ -157,7 +153,7 @@ def test_producer_peak_memory(sys_, operands, name, outputs):
         "xnor_pair": lambda: xnor_pair(sys_, x, h),
         "universe": lambda: universe(sys_),
         "high": lambda: sys_.high(5),
-        "ones": lambda: sys_.ones,
+        "ones": lambda: product_trace(sys_, ProductTerm.ones(M)),
         "realize": lambda: realize(sys_, sup),
     }[name]
     assert _peak_bytes(produce) <= outputs * OUTPUT + 2 * T

@@ -136,7 +136,7 @@ def test_realize_agrees_with_symbolic_gate(case, data):
     assert realize(sys, state.gate("xor", operand)) == xor_pair(x, op_trace)
     assert realize(sys, state.gate("xnor", operand)) == xnor_pair(sys, x, op_trace)
     if operand_mask:
-        targets = operand.indices
+        targets = [i for i in range(1, sys.m + 1) if operand_mask >> (i - 1) & 1]
         assert realize(sys, state.gate("not", operand)) == apply_not(sys, targets, x)
 
 

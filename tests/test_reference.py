@@ -29,8 +29,6 @@ from noiselogic import (
     decode_product,
     decode_superposition,
     generate_reference_system,
-    low_reference,
-    not_operator,
     product_trace,
     read_trace,
     realize,
@@ -258,22 +256,20 @@ def test_per_trace_mean_bound():
 
 
 def test_low_reference_values():
-    assert list(low_reference(5).samples) == [1, 1, 1, 1, 1]
-    assert list(low_reference(1).samples) == [1]
-    with pytest.raises(DimensionError):
-        low_reference(0)
+    assert list(generate_reference_system(2, 5, seed=0).low.samples) == [1, 1, 1, 1, 1]
+    assert list(generate_reference_system(2, 1, seed=0).low.samples) == [1]
 
 
 def test_low_reference_is_multiplicative_identity():
     sys = generate_reference_system(2, 50, seed=5)
     x = sys.high(2)
-    assert x * low_reference(50) == x
+    assert x * sys.low == x
 
 
 def test_self_product_is_vacuum():
     sys = generate_reference_system(4, 200, seed=8)
     for high in [sys.high(i) for i in range(1, sys.m + 1)]:
-        assert high * high == low_reference(200)
+        assert high * high == sys.low
 
 
 def test_product_matches_independent_loop():
@@ -293,7 +289,7 @@ def test_product_closure_stays_binary():
 
 def test_product_length_mismatch():
     with pytest.raises(LengthMismatchError):
-        low_reference(4) * low_reference(5)
+        Trace(np.ones(4, dtype=np.int64)) * Trace(np.ones(5, dtype=np.int64))
 
 
 # every call outside the gates that checks a trace against a clock count (the
@@ -324,9 +320,8 @@ def test_length_mismatch_message(call):
 CLOCK_COUNT_CALLS = {
     "generate_reference_system": lambda t: generate_reference_system(4, t, 0),
     "ReferenceSystem": lambda t: ReferenceSystem(4, t, 0),
-    "low_reference": low_reference,
     "superpose-nothing": lambda t: superpose([], t=t),
-    "superpose-explicit-t": lambda t: superpose([low_reference(1)], t=t),
+    "superpose-explicit-t": lambda t: superpose([Trace(np.ones(1, dtype=np.int64))], t=t),
 }
 
 
@@ -418,7 +413,7 @@ def test_trace_copies_stay_read_only():
 
 
 def test_trace_immutable():
-    tr = low_reference(3)
+    tr = generate_reference_system(2, 3, seed=0).low
     with pytest.raises(ValueError):
         tr.samples[0] = 5
 
@@ -475,7 +470,7 @@ HEADROOM_PRODUCERS = {
     ),
     "xnor_pair": lambda sys, bound: (
         lambda: xnor_pair(sys, *map(_peak, _FACTORS[bound])),
-        [bound * int(sys.ones.samples[0]), int(sys.ones.samples[1])],
+        [f * int(s) for f, s in zip((bound, 1), product_trace(sys, ProductTerm.ones(2)).samples)],
     ),
 }
 
@@ -501,7 +496,7 @@ def test_product_states_reach_the_kernel_with_bound_1(monkeypatch):
     monkeypatch.setattr("noiselogic.reference.check_headroom", bounds.append)
     product_trace(sys, ProductTerm(62, (1 << 62) - 1))
     sys.high(62)
-    not_operator(sys, [1, 62])
+    product_trace(sys, ProductTerm.from_indices(62, [1, 62]))
     assert bounds == [1, 1, 1]
 
 
@@ -563,7 +558,7 @@ def test_json_round_trip(trace):
 
 
 def test_csv_format_shape():
-    text = trace_to_csv(low_reference(2))
+    text = trace_to_csv(Trace(np.ones(2, dtype=np.int64)))
     assert text == "clock,amplitude\n0,1\n1,1\n"
 
 
