@@ -23,7 +23,6 @@ import re
 from dataclasses import dataclass, field, fields, is_dataclass
 from math import prod
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -364,14 +363,10 @@ class PairCorrelation:
     correlation: float
     status: str
 
-    @property
-    def is_self(self) -> bool:
-        return self.i == self.k
-
 
 @dataclass(frozen=True)
 class OrthogonalityReport:
-    """Time-averaged correlations for every pair of reference RTWs."""
+    """Time-averaged correlations for each distinct pair i < k of reference RTWs."""
 
     t: int
     z: float
@@ -383,30 +378,34 @@ class OrthogonalityReport:
         """True when no pair failed (inconclusive pairs do not fail)."""
         return all(p.status != FAIL for p in self.pairs)
 
-    def distinct_pairs(self) -> Iterator[PairCorrelation]:
-        return (p for p in self.pairs if not p.is_self)
-
     as_dict = _report_dict
+
+
+#: Clocks per Gram block: its pair sums, integers of at most 2^12, are exact in
+#: float32, and its signs stay O(block), 1 MiB at M = 62; 2^14 was slower, 4x larger.
+_GRAM_BLOCK = 1 << 12
 
 
 def check_orthogonality(sys: ReferenceSystem) -> OrthogonalityReport:
     """Check zero mean cross-correlation between distinct reference RTWs.
 
-    For each distinct pair (i, k) the time-averaged product must satisfy
-    |mean| <= 4/sqrt(T); self-pairs are reported as exactly 1, the mean
-    of every sample squared. Degenerate windows (bound >= 1) are flagged
-    inconclusive.
+    For each pair i < k the time-averaged product, taken exactly from one
+    blocked Gram product of the +/-1 signs, must satisfy |mean| <= 4/sqrt(T).
+    Degenerate windows (bound >= 1) are flagged inconclusive.
     """
     z = 4.0
     bound = z / np.sqrt(sys.t)
-    conclusive = bound < 1.0
+    sums = np.zeros((sys.m, sys.m))
+    for start in range(0, sys.t, _GRAM_BLOCK):
+        words = sys.negative_masks[start : start + _GRAM_BLOCK].astype("<u8").view(np.uint8)
+        bits = np.unpackbits(words.reshape(-1, 8), axis=1, bitorder="little")[:, : sys.m]
+        signs = np.subtract(1, 2 * bits, dtype=np.float32)  # a set negative bit is -1
+        sums += signs.T @ signs
     pairs = []
     for i in range(1, sys.m + 1):
-        pairs.append(PairCorrelation(i, i, 1.0, PASS))
         for k in range(i + 1, sys.m + 1):
-            pair_mask = (1 << (i - 1)) ^ (1 << (k - 1))
-            corr = float(product_signs(pair_mask, sys.negative_masks).mean())
-            status = (PASS if abs(corr) <= bound else FAIL) if conclusive else INCONCLUSIVE
+            corr = float(sums[i - 1, k - 1] / sys.t)
+            status = (PASS if abs(corr) <= bound else FAIL) if bound < 1.0 else INCONCLUSIVE
             pairs.append(PairCorrelation(i, k, corr, status))
     return OrthogonalityReport(t=sys.t, z=z, bound=float(bound), pairs=tuple(pairs))
 

@@ -235,11 +235,9 @@ def test_criterion_7_reference_statistics():
         for high in [sys.high(i) for i in range(1, sys.m + 1)]:
             assert abs(float(high.samples.mean())) <= bound
         report = check_orthogonality(sys)
+        assert len(report.pairs) == 28
         for pair in report.pairs:
-            if pair.is_self:
-                assert pair.correlation == 1.0
-            else:
-                assert abs(pair.correlation) <= bound
+            assert abs(pair.correlation) <= bound
         assert report.ok
 
 

@@ -419,17 +419,13 @@ REPORT_DICTS = {
     (0, "universe"): "{'m': 3, 'T': 64, 'amplitudes': [0, 8], 'nonzero_fraction': 0.140625, "
     "'expected_fraction': 0.125, 'standard_error': 0.04345428801032615}",
     (0, "orthogonality"): "{'T': 64, 'z': 4.0, 'bound': 0.5, 'pairs': ["
-    "{'i': 1, 'k': 1, 'correlation': 1.0, 'status': 'pass'}, "
-    "{'i': 1, 'k': 2, 'correlation': 0.0625, 'status': 'pass'}, "
-    "{'i': 2, 'k': 2, 'correlation': 1.0, 'status': 'pass'}]}",
+    "{'i': 1, 'k': 2, 'correlation': 0.0625, 'status': 'pass'}]}",
     (3, "agreement"): "{'rate': 0.453125, 'T': 64, 'full_agreement': False, "
     "'theoretical_full_agreement': 5.421010862427522e-20}",
     (3, "universe"): "{'m': 3, 'T': 64, 'amplitudes': [0, 8], 'nonzero_fraction': 0.0625, "
     "'expected_fraction': 0.125, 'standard_error': 0.030257682392245445}",
     (3, "orthogonality"): "{'T': 64, 'z': 4.0, 'bound': 0.5, 'pairs': ["
-    "{'i': 1, 'k': 1, 'correlation': 1.0, 'status': 'pass'}, "
-    "{'i': 1, 'k': 2, 'correlation': -0.09375, 'status': 'pass'}, "
-    "{'i': 2, 'k': 2, 'correlation': 1.0, 'status': 'pass'}]}",
+    "{'i': 1, 'k': 2, 'correlation': -0.09375, 'status': 'pass'}]}",
 }
 
 

@@ -14,6 +14,7 @@ from noiselogic import (
     SymbolicSuperposition,
     Trace,
     apply_not,
+    check_orthogonality,
     generate_reference_system,
     product_trace,
     read_trace,
@@ -157,3 +158,18 @@ def test_producer_peak_memory(sys_, operands, name, outputs):
         "realize": lambda: realize(sys_, sup),
     }[name]
     assert _peak_bytes(produce) <= outputs * OUTPUT + 2 * T
+
+
+@pytest.mark.parametrize("t", [T, 2 * T])
+def test_orthogonality_peak_memory_is_per_block(sys_, t):
+    # the Gram kernel's temporaries are O(block * M), not O(T * M): the
+    # same bound holds at twice the clocks
+    sys = sys_ if t == T else generate_reference_system(M, t, seed=5)
+    tracemalloc.start()
+    try:
+        report = check_orthogonality(sys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.t == t
+    assert peak <= 4 << 20

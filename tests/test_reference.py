@@ -42,7 +42,7 @@ from noiselogic import (
     xnor_pair,
     xor_pair,
 )
-from noiselogic.reference import _TEXT_BLOCK
+from noiselogic.reference import _TEXT_BLOCK, product_signs
 
 
 def test_generation_domain():
@@ -346,20 +346,37 @@ def test_clock_count_true_reads_as_one(call):
     assert call(True).t == 1
 
 
-def test_orthogonality_self_correlation_exact():
-    sys = generate_reference_system(3, 97, seed=4)
+def _per_pair_orthogonality(sys):
+    """(i, k, correlation, status) for each pair i < k, one product trace
+    per pair: the reference the one-kernel check must equal bit for bit."""
+    bound = 4 / np.sqrt(sys.t)
+    rows = []
+    for i, k in itertools.combinations(range(1, sys.m + 1), 2):
+        corr = float(product_signs((1 << (i - 1)) | (1 << (k - 1)), sys.negative_masks).mean())
+        status = ("pass" if abs(corr) <= bound else "fail") if bound < 1 else "inconclusive"
+        rows.append((i, k, corr, status))
+    return rows
+
+
+@pytest.mark.parametrize("t", [1, 2**12 - 1, 2**12, 2**12 + 1, 3 * 2**12 + 5, 2**17])
+@pytest.mark.parametrize("m", [1, 2, 5, 62])
+def test_orthogonality_equals_the_per_pair_means(m, t):
+    # T is inside one Gram block, exactly one, one and a clock, three and a
+    # tail, or 32 blocks
+    sys = generate_reference_system(m, t, seed=m + t)
     report = check_orthogonality(sys)
-    selfs = [p for p in report.pairs if p.is_self]
-    assert len(selfs) == 3
-    assert all(p.correlation == 1.0 and p.status == "pass" for p in selfs)
+    got = [(p.i, p.k, p.correlation, p.status) for p in report.pairs]
+    assert got == _per_pair_orthogonality(sys)
+    assert len(got) == m * (m - 1) // 2
+    if m == 1:
+        assert report.pairs == () and report.ok
 
 
 def test_orthogonality_distinct_pairs_pass():
     sys = generate_reference_system(4, 10**4, seed=42)
     report = check_orthogonality(sys)
-    distinct = list(report.distinct_pairs())
-    assert len(distinct) == 6
-    assert all(p.status == "pass" for p in distinct)
+    assert len(report.pairs) == 6
+    assert all(p.status == "pass" for p in report.pairs)
     assert report.ok
 
 
@@ -368,7 +385,7 @@ def test_orthogonality_single_sample_inconclusive():
     # z/sqrt(T) bound is vacuous, so the check must not report failure
     sys = generate_reference_system(2, 1, seed=9)
     report = check_orthogonality(sys)
-    (pair,) = list(report.distinct_pairs())
+    (pair,) = report.pairs
     assert pair.correlation in (-1.0, 1.0)
     assert pair.status == "inconclusive"
     assert report.ok
@@ -378,7 +395,7 @@ def test_orthogonality_report_dict():
     sys = generate_reference_system(2, 16, seed=1)
     d = check_orthogonality(sys).as_dict()
     assert d["T"] == 16 and d["z"] == 4.0
-    assert len(d["pairs"]) == 3  # (1,1), (1,2), (2,2)
+    assert len(d["pairs"]) == 1  # (1,2)
 
 
 def test_trace_rejects_empty():
