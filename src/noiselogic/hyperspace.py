@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DimensionError
 from .oracle import ProductTerm, SymbolicSuperposition, _require_fit, _require_width
-from .reference import ReferenceSystem, Trace, _adopt, _check_clock_count, _combine
+from .reference import ReferenceSystem, Trace, _adopt, _combine
 
 
 @dataclass(frozen=True)
@@ -62,16 +62,11 @@ def synthesize(sys: ReferenceSystem, s: "BitString | str") -> Trace:
     return product_trace(sys, term)
 
 
-def superpose(traces: list[Trace], *, t: int | None = None) -> Trace:
-    """Sample-wise integer sum of traces sharing one clock count.
-
-    The empty sum is the all-zero trace; its length cannot be inferred,
-    so pass ``t`` explicitly in that case.
-    """
-    if t is None and not traces:
-        raise DimensionError("superposing nothing requires an explicit clock count t")
-    t = traces[0].t if t is None else _check_clock_count(t)
-    return _combine(t, [(1, None, (x,)) for x in traces])
+def superpose(traces: list[Trace]) -> Trace:
+    """Sample-wise integer sum of one or more traces sharing one clock count."""
+    if not traces:
+        raise DimensionError("superposing nothing: a sum needs at least one trace")
+    return _combine(traces[0].t, [(1, None, (x,)) for x in traces])
 
 
 def universe(sys: ReferenceSystem) -> Trace:

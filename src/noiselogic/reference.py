@@ -63,12 +63,14 @@ class Trace:
     :class:`AmplitudeOverflowError`. The library's
     own results are computed into a fresh array and handed over read-only
     without that copy. Copies and pickles rebuild through ``Trace(samples, label)``.
+    The label is a string or None, which every trace file reads back.
     """
 
     samples: np.ndarray
     label: str | None = None
 
     def __post_init__(self):
+        _check_label(self.label)
         arr = np.asarray(self.samples)
         if arr.ndim != 1 or arr.size < 1:
             raise DimensionError("a trace needs a one-dimensional, non-empty sample array")
@@ -92,9 +94,6 @@ class Trace:
         """Clock-cycle count."""
         return self.samples.size
 
-    def __len__(self) -> int:
-        return self.samples.size
-
     def __eq__(self, other) -> bool:
         """Sample-wise equality; labels are metadata and do not participate."""
         if not isinstance(other, Trace):
@@ -105,22 +104,11 @@ class Trace:
 
     __hash__ = None  # mutable-free but compared by value; not hashable
 
-    def __mul__(self, other: "Trace | int") -> "Trace":
-        if isinstance(other, Trace):
-            return _combine(self.t, [(1, None, (self, other))])
-        if isinstance(other, (int, np.integer)):
-            return _combine(self.t, [(int(other), None, (self,))])
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __add__(self, other: "Trace") -> "Trace":
+    def __mul__(self, other: "Trace") -> "Trace":
+        """The sample-wise product of two traces; the sum is ``superpose``."""
         if not isinstance(other, Trace):
             return NotImplemented
-        return _combine(self.t, [(1, None, (self,)), (1, None, (other,))])
-
-    def __neg__(self) -> "Trace":
-        return _combine(self.t, [(-1, None, (self,))])
+        return _combine(self.t, [(1, None, (self, other))])
 
     def is_binary(self) -> bool:
         """True when every sample is +1 or -1 (RTW / product-state class)."""
@@ -128,13 +116,21 @@ class Trace:
 
     def with_label(self, label: str | None) -> "Trace":
         """This trace under another label; the two share one read-only array."""
-        return _adopt(self.samples, label)
+        return _adopt(self.samples, _check_label(label))
 
     def __repr__(self) -> str:
         head = ",".join(str(v) for v in self.samples[:8])
         tail = ",..." if self.t > 8 else ""
         name = f" {self.label!r}" if self.label else ""
         return f"<Trace{name} T={self.t} [{head}{tail}]>"
+
+
+def _check_label(label):
+    """``label`` itself, if the trace file formats can write it and read it
+    back: a string or None."""
+    if label is not None and not isinstance(label, str):
+        raise TypeError(f"a trace label must be a string or None, not {type(label).__name__}")
+    return label
 
 
 def _adopt(samples: np.ndarray, label: str | None = None) -> Trace:
@@ -157,14 +153,6 @@ def _require_length(t: int, *traces: Trace) -> None:
     for x in traces:
         if x.t != t:
             raise LengthMismatchError(f"trace lengths differ: {x.t} != {t}")
-
-
-def _check_clock_count(t: int) -> int:
-    """``t`` as an int (``True`` is 1) in 1..the longest int64 trace numpy can index."""
-    t = operator.index(t) if hasattr(t, "__index__") else t
-    if not (isinstance(t, int) and 1 <= t <= _MAX_CLOCKS):
-        raise DimensionError(f"clock count {t!r} is outside 1..{_MAX_CLOCKS}")
-    return t
 
 
 def max_abs(trace: Trace) -> int:
@@ -225,8 +213,8 @@ def _combine(t: int, terms, sys: ReferenceSystem | None = None, label=None) -> T
     acc = None
     for coeff, mask, operands in terms:
         factors = [x.samples for x in operands]
-        if coeff != 1:  # under the bound, only a term that is 0 has one past int64
-            factors.append(coeff if abs(coeff) < INT64_HEADROOM else 0)
+        if coeff != 1:
+            factors.append(coeff)
         if mask is None and acc is not None and len(factors) == 1:
             acc += factors[0]
             continue
@@ -303,7 +291,9 @@ class ReferenceSystem:
     negative_masks: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        t = _check_clock_count(self.t)
+        t = operator.index(self.t) if hasattr(self.t, "__index__") else self.t
+        if not (isinstance(t, int) and 1 <= t <= _MAX_CLOCKS):
+            raise DimensionError(f"clock count {t!r} is outside 1..{_MAX_CLOCKS}")
         m = operator.index(self.m) if hasattr(self.m, "__index__") else self.m
         if not (isinstance(m, int) and 1 <= m <= MAX_NOISE_BITS):
             raise DimensionError(

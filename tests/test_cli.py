@@ -15,6 +15,7 @@ from noiselogic import (
     generate_reference_system,
     read_trace,
     realize,
+    superpose,
     synthesize,
     universe,
     write_trace,
@@ -100,7 +101,7 @@ class TestSynth:
         parts = [
             read_trace(tmp_path / f"synth_{s}.csv") for s in ("1100", "1010", "1000")
         ]
-        assert total == parts[0] + parts[1] + parts[2]
+        assert total == superpose(parts)
 
     def test_vacuum_string(self, tmp_path, capsys):
         code, _, _ = run(capsys, "synth", "0000", "--out", tmp_path)
@@ -427,6 +428,15 @@ ERROR_PATH_TABLE = {
     "target-on-not": ("gate not --input 1100 --targets 1 --target 2", 2, "does not take"),
     "targets-on-xor": ("gate xor --a 1100 --b 1010 --targets 1", 2, "does not take --targets"),
     "input-on-xnor": ("gate xnor --a 1100 --b 1010 --input 1000", 2, "does not take --input"),
+    "synth-sum": (
+        "synth 2*1100 --out {dir}/out", 2, "synth takes plain bit strings; use --superpose for sums"
+    ),
+    "not-without-input": ("gate not --targets 1", 2, "gate not needs --input"),
+    "not-without-targets": ("gate not --input 1100", 2, "gate not needs --targets"),
+    "xor-without-a": ("gate xor --b 1010", 2, "gate xor needs --a"),
+    "xnor-without-b": (
+        "gate xnor --a 1100", 2, "gate xnor needs --b, or --target/--value for targeted form"
+    ),
     "compare-lengths-differ": (
         "compare {dir}/short.csv {dir}/long.csv", 3, "lengths differ: 64 != 128"
     ),
@@ -453,6 +463,14 @@ ERROR_PATH_TABLE = {
     "multiplicity-underscore": ("gate xor --a 1_0*1100 --b 1000", 2, "bad multiplicity in term"),
     "multiplicity-negative": (
         "gate xor --a 1100+-3*1010 --b 1000", 0, "oracle: -3*[0010] + 1*[0100]"
+    ),
+    # amplitudes of 2^60, summed over T = 128 clocks, could reach 2^67 in the
+    # decoder's int64 correlations: the decode names that refusal, and the oracle answers
+    "decode-past-correlation-headroom": (
+        "gate xor --a 1152921504606846976*1100 --b 1000",
+        0,
+        "engine: decode failed (T*max|residual| = 147573952589676412928 >= 2^63 leaves the "
+        "correlations' int64 headroom)\noracle: 1152921504606846976*[0100]\n",
     ),
     "m-and-t-non-ascii": (
         "refs --m ٤ --t ١٢٨ --out {dir}/out", 2, "--m expects an integer, got '٤'"

@@ -59,16 +59,13 @@ def _producers(sys_, x, h, tmp_path):
         ("ReferenceSystem.low", lambda: sys_.low),
         ("product_trace ones", lambda: product_trace(sys_, ProductTerm.ones(M))),
         ("Trace.__mul__", lambda: x * h),
-        ("Trace.__mul__ scalar", lambda: 3 * x),
-        ("Trace.__add__", lambda: x + h),
-        ("Trace.__neg__", lambda: -x),
         ("product_trace", lambda: product_trace(sys_, ProductTerm(M, 0b1011))),
         ("synthesize", lambda: synthesize(sys_, "1" * M)),
         ("superpose one", lambda: superpose([x])),
         ("superpose", lambda: superpose([x, h, x])),
-        ("superpose empty", lambda: superpose([], t=T)),
         ("universe", lambda: universe(sys_)),
         ("realize", lambda: realize(sys_, sup)),
+        ("realize empty", lambda: realize(sys_, SymbolicSuperposition(M))),
         ("apply_not", lambda: apply_not(sys_, [1, 4], x)),
         ("xor_pair", lambda: xor_pair(x, h)),
         ("xnor_pair", lambda: xnor_pair(sys_, x, h)),
