@@ -64,7 +64,7 @@ from .reference import (
     write_trace,
 )
 
-__version__ = "0.8.0"
+__version__ = "0.8.1"
 
 __all__ = [
     "AgreementReport",

@@ -84,16 +84,16 @@ def decode_product(sys: ReferenceSystem, x: Trace) -> BitString:
         f"{1 << free} = 2^{free} product states match over T={sys.t} clocks "
         f"(GF(2) rank {rank} of M={sys.m}; window too short to separate candidates)"
     )
-    # kernel: one solution of the homogeneous rows per free bit, with that
-    # free bit set and the others clear; bit reversal commutes with XOR, so
-    # the MSB-first values combine as the masks do
-    homogeneous = {low: (row, 0) for low, (row, _) in basis.items()}
+    # kernel: per free bit, the solution with that bit set XOR the particular
+    # one (back-substitution is affine in the free bits); bit reversal
+    # commutes with XOR, so the MSB-first values combine as the masks do
+    mask = _back_substitute(basis, 0)
     kernel = tuple(
-        ProductTerm(sys.m, _back_substitute(homogeneous, 1 << bit)).value()
+        ProductTerm(sys.m, _back_substitute(basis, 1 << bit) ^ mask).value()
         for bit in range(sys.m)
         if 1 << bit not in basis
     )
-    particular = ProductTerm(sys.m, _back_substitute(basis, 0)).value()
+    particular = ProductTerm(sys.m, mask).value()
     raise AmbiguousDecodeError(message, candidates=_CandidateSpace(sys.m, particular, kernel))
 
 

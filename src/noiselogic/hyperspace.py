@@ -9,6 +9,7 @@ form, one comparison per clock instead of a 2^M-term sum.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,9 @@ class BitString:
     value: int
 
     def __post_init__(self):
-        _require_fit(self.width, self.value)
+        # keep the integers read: True is 1, a numpy integer becomes int
+        object.__setattr__(self, "width", _require_fit(self.width, self.value))
+        object.__setattr__(self, "value", operator.index(self.value))
 
     @property
     def text(self) -> str:

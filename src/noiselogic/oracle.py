@@ -71,7 +71,9 @@ class ProductTerm:
     mask: int
 
     def __post_init__(self):
-        _require_fit(self.width, self.mask)
+        # keep the integers read: True is 1, a numpy integer becomes int
+        object.__setattr__(self, "width", _require_fit(self.width, self.mask))
+        object.__setattr__(self, "mask", operator.index(self.mask))
 
     @classmethod
     def zeros(cls, width: int) -> "ProductTerm":
@@ -79,7 +81,7 @@ class ProductTerm:
 
     @classmethod
     def ones(cls, width: int) -> "ProductTerm":
-        return cls(width, (1 << width) - 1)
+        return cls(width, (1 << _require_fit(width)) - 1)
 
     @classmethod
     def from_indices(cls, width: int, indices: Iterable[int]) -> "ProductTerm":

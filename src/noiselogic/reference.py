@@ -98,9 +98,7 @@ class Trace:
         """Sample-wise equality; labels are metadata and do not participate."""
         if not isinstance(other, Trace):
             return NotImplemented
-        return self.samples.size == other.samples.size and bool(
-            np.array_equal(self.samples, other.samples)
-        )
+        return bool(np.array_equal(self.samples, other.samples))
 
     __hash__ = None  # mutable-free but compared by value; not hashable
 
@@ -166,18 +164,14 @@ def check_headroom(bound: int) -> None:
         raise AmplitudeOverflowError(f"|amplitude| can reach {bound} >= 2^63, past the int64 range")
 
 
-def _mix64(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer, applied to ``x`` in place; ``scratch`` is a
-    same-shape buffer. Wraparound is the point, so callers silence
-    overflow."""
-    np.right_shift(x, _U64(30), out=scratch)
-    x ^= scratch
+def _mix64(x: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer, applied to ``x`` in place. Wraparound is the
+    point, so callers silence overflow."""
+    x ^= x >> _U64(30)
     x *= _MIX_C1
-    np.right_shift(x, _U64(27), out=scratch)
-    x ^= scratch
+    x ^= x >> _U64(27)
     x *= _MIX_C2
-    np.right_shift(x, _U64(31), out=scratch)
-    x ^= scratch
+    x ^= x >> _U64(31)
     return x
 
 
@@ -241,20 +235,17 @@ def _negative_masks(seed: int, m: int, t: int) -> np.ndarray:
     O(_GENERATION_BLOCK) whatever T is.
     """
     masks = np.empty(t, dtype=np.uint64)
-    width = min(t, _GENERATION_BLOCK)
-    scratch = np.empty(width, dtype=np.uint64)
     all_bits = _U64((1 << m) - 1)
     with np.errstate(over="ignore"):
-        key = _mix64(np.array([seed], dtype=np.uint64) + _GAMMA, scratch[:1])
+        key = _mix64(np.array([seed], dtype=np.uint64) + _GAMMA)
         # key + (c+1)*GAMMA for the first block; block start s adds s*GAMMA
-        counters = np.arange(1, width + 1, dtype=np.uint64)
+        counters = np.arange(1, min(t, _GENERATION_BLOCK) + 1, dtype=np.uint64)
         counters *= _GAMMA
         counters += key
         for start in range(0, t, _GENERATION_BLOCK):
             block = masks[start : start + _GENERATION_BLOCK]
-            n = block.size
-            np.add(counters[:n], _U64(start) * _GAMMA, out=block)
-            _mix64(block, scratch[:n])
+            np.add(counters[: block.size], _U64(start) * _GAMMA, out=block)
+            _mix64(block)
             block &= all_bits
             block ^= all_bits  # bit set = word bit 0 = sample -1
     masks.flags.writeable = False

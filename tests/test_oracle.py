@@ -4,6 +4,7 @@ import copy
 import pickle
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -340,6 +341,36 @@ def test_bit_value_true_reads_as_one(gate):
     x = SYS4.high(1)
     assert gate(SYS4, x, 2, True) == gate(SYS4, x, 2, 1)
     assert gate(SYS4, x, 2, False) == gate(SYS4, x, 2, 0)
+
+
+# ProductTerm and BitString keep the integers their fit guard read, as
+# SymbolicSuperposition and ReferenceSystem do: True is 1 and a numpy integer
+# becomes int, so text, repr and mask arithmetic see Python ints
+
+
+def test_terms_and_bit_strings_read_true_as_one():
+    one = ProductTerm(True, 1)
+    assert (one.width, one.text(), repr(one)) == (1, "1", "ProductTerm[1]")
+    assert ProductTerm.ones(True) == one
+    sys1 = generate_reference_system(1, 4, 1)
+    assert product_trace(sys1, one) == sys1.high(1)
+    assert BitString(True, 1).text == "1" and repr(BitString(True, 0)) == "BitString(0)"
+
+
+def test_numpy_integers_work_past_64_bits():
+    wide = ProductTerm(70, np.int64(5)) * ProductTerm(70, 1 << 69)
+    assert wide == ProductTerm(70, 5 | 1 << 69)
+    assert ProductTerm.ones(np.int64(64)) == ProductTerm(64, (1 << 64) - 1)
+    for bad_width in (0, -1, 2.0):  # the fit guard's refusal, not a shift's
+        with pytest.raises(WidthMismatchError, match=f"^width {bad_width} is not an integer >= 1$"):
+            ProductTerm.ones(bad_width)
+
+
+def test_terms_and_bit_strings_hold_python_ints():
+    for x in (ProductTerm(4, np.uint8(3)), ProductTerm(np.int64(4), True)):
+        assert type(x.width) is int and type(x.mask) is int
+    for x in (BitString(4, np.uint8(3)), BitString(np.int64(4), True)):
+        assert type(x.width) is int and type(x.value) is int
 
 
 def test_bit_string_construction_converts_nothing(monkeypatch):

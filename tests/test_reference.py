@@ -526,6 +526,24 @@ def test_trace_operator_sugar():
     assert (a * b).samples.tolist() == (a.samples * b.samples).tolist()
 
 
+def test_trace_equality_is_samplewise():
+    # equal samples of equal length; labels do not count, and a non-trace is unequal
+    pairs = [
+        (Trace([1, 2]), Trace([1, 2]), True),
+        (Trace([1, 2], label="x"), Trace([1, 2], label="y"), True),
+        (Trace([1, 2], label="x"), Trace([1, 2]), True),
+        (Trace([1, 2]), Trace([1, 2, 0]), False),
+        (Trace([1]), Trace([1, 1]), False),
+        (Trace([0]), Trace([0, 0]), False),
+        (Trace([1, 2]), Trace([2, 1]), False),
+    ]
+    for a, b, equal in pairs:
+        assert (a == b) is (b == a) is equal
+        assert (a != b) is (b != a) is (not equal)
+    for other in (1, [1], (1,), "1", None):
+        assert Trace([1]) != other and not Trace([1]) == other
+
+
 @pytest.mark.parametrize(
     "call",
     [

@@ -1,9 +1,12 @@
 """The suite's own pytest settings."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
+
+import noiselogic
 
 pytest_plugins = ["pytester"]
 
@@ -33,3 +36,10 @@ def test_failing_hypothesis_test_reports_a_failure(pytester):
     )
     result.stdout.fnmatch_lines(["*1 failed*"])
     assert "INTERNALERROR" not in result.stdout.str() + result.stderr.str()
+
+
+def test_package_version_matches_pyproject():
+    # both are bumped by hand; a regex, since Python 3.10 has no tomllib
+    project = re.search(r"^\[project\]$(.*?)(?=^\[|\Z)", PYPROJECT.read_text("utf-8"), re.M | re.S)
+    version = re.search(r'^version = "([^"]+)"$', project.group(1), re.M)
+    assert noiselogic.__version__ == version.group(1)
