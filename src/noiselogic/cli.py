@@ -9,6 +9,8 @@ plot emission is data-only (CSV/JSON consumable by any plotting tool).
 Exit codes: 0 success, 2 usage error or amplitude overflow, 3 decode/oracle
 mismatch (including ``compare`` divergence), 4 I/O or parse failure.
 Running out of memory (a huge ``--t``) is exit 2, with one ``error:`` line.
+``gate`` parses every operand and checks every noise-bit index before it
+generates any reference, so a malformed one is named at any ``--t``.
 ``gate`` exits 0 when its self-decode is refused (``engine: decode
 failed``): its engine/oracle judge is the ``realize(predicted) == out``
 check, which exits 3, as does a decode that disagrees with the
@@ -36,6 +38,7 @@ from .errors import (
     WidthMismatchError,
 )
 from .gates import (
+    _target_mask,
     apply_not,
     xnor_pair,
     xnor_targeted,
@@ -166,7 +169,7 @@ def _operand_superposition(entries: list[tuple[int, str]], width: int) -> Symbol
 
 
 def _parse_targets(text: str) -> list[int]:
-    """Comma-separated noise-bits; ``apply_not`` refuses an empty or out-of-range set."""
+    """Comma-separated noise-bits; ``gates._target_mask`` refuses an empty or out-of-range set."""
     message = f"--targets expects comma-separated integers, got {text!r}"
     return sorted({_integer(p.strip(), message) for p in text.split(",") if p.strip()})
 
@@ -214,23 +217,23 @@ def cmd_universe(args) -> int:
 
 
 def _gate_prediction(
-    args, state: SymbolicSuperposition, b_entries: list[tuple[int, str]] | None, width: int
+    args, state: SymbolicSuperposition, b: SymbolicSuperposition | None, targets, width: int
 ):
     """Numeric output and symbolic prediction for one gate invocation.
 
     Each gate form multiplies the input by one symbolic operand, so the
-    prediction is ``state * operand``. NOT and the targeted forms run the
-    gate before building the operand, so the gate reports a bad target.
+    prediction is ``state * operand``. The caller has parsed ``b`` and
+    checked ``targets``, so the references are generated only here. NOT
+    and the targeted forms run the gate before building the operand.
     """
     kind = args.kind
     sys = generate_reference_system(width, args.t, args.seed)
     x = realize(sys, state)
 
     if kind == "not":
-        targets = _parse_targets(args.targets)
         out = apply_not(sys, targets, x)
         operand = ProductTerm.from_indices(width, targets)
-    elif args.target is not None:
+    elif b is None:
         # targeted XOR/XNOR: G_i(p) is high_i for p = 1, else the constant 1
         i, p = args.target, args.value
         out = (xor_targeted if kind == "xor" else xnor_targeted)(sys, x, i, p)
@@ -239,15 +242,13 @@ def _gate_prediction(
         if kind == "xnor":
             operand = operand * high_i
     else:
-        operand = _operand_superposition(b_entries, width)
-        xb = realize(sys, operand)
-        if len(state) > 1 and len(operand) > 1:
+        xb = realize(sys, b)
+        if len(state) > 1 and len(b) > 1:
             print("note: superposition-by-superposition product; outside tabulated gate semantics")
         if kind == "xor":
-            out = xor_pair(x, xb)
+            out, operand = xor_pair(x, xb), b
         else:
-            out = xnor_pair(sys, x, xb)
-            operand = operand * ProductTerm.ones(width)
+            out, operand = xnor_pair(sys, x, xb), b * ProductTerm.ones(width)
     return sys, out, state * operand
 
 
@@ -286,9 +287,14 @@ def cmd_gate(args) -> int:
     b_entries = None if args.b is None else _parse_operand(args.b)
     operands = [a_entries] if b_entries is None else [a_entries, b_entries]
     width = _infer_width(operands, args.m)
+    # every operand and noise-bit index is checked before any reference is generated
     state = _operand_superposition(a_entries, width)
+    b = None if b_entries is None else _operand_superposition(b_entries, width)
+    targets = _parse_targets(args.targets) if args.kind == "not" else [args.target]
+    if b is None:
+        _target_mask(width, targets)
 
-    sys, out, predicted = _gate_prediction(args, state, b_entries, width)
+    sys, out, predicted = _gate_prediction(args, state, b, targets, width)
     _write(args, out.with_label(f"gate_{args.kind}"), f"gate_{args.kind}")
 
     decoded = None

@@ -20,9 +20,9 @@ from .oracle import _index_mask
 from .reference import ReferenceSystem, Trace, _combine, _require_length
 
 
-def _target_mask(sys: ReferenceSystem, targets: Iterable[int]) -> int:
-    """Product-state mask of a nonempty set of noise-bit indices in 1..M."""
-    mask = _index_mask(sys.m, targets)
+def _target_mask(m: int, targets: Iterable[int]) -> int:
+    """Product-state mask of a nonempty set of noise-bit indices in 1..m."""
+    mask = _index_mask(m, targets)
     if not mask:
         raise TargetIndexError("target set must not be empty")
     return mask
@@ -32,7 +32,7 @@ def apply_not(sys: ReferenceSystem, targets: Iterable[int], signal: Trace) -> Tr
     """Invert the targeted bits of every product state carried by ``signal``:
     ``signal`` times the product of the targeted high references. Applying
     it twice is the identity (each high squared is the constant 1)."""
-    return _combine(sys.t, [(1, _target_mask(sys, targets), (signal,))], sys)
+    return _combine(sys.t, [(1, _target_mask(sys.m, targets), (signal,))], sys)
 
 
 def xor_pair(a: Trace, b: Trace) -> Trace:
@@ -75,7 +75,7 @@ def xnor_targeted(sys: ReferenceSystem, signal: Trace, i: int, p: int) -> Trace:
 
 def _xor_bit(sys: ReferenceSystem, signal: Trace, i: int, p: int, flip: int) -> Trace:
     """XOR noise-bit ``i`` with ``p ^ flip``; checks ``i``, then ``p`` (an int, 0 or 1)."""
-    mask = _target_mask(sys, (i,))
+    mask = _target_mask(sys.m, (i,))
     bit = operator.index(p) if hasattr(p, "__index__") else None
     if bit not in (0, 1):
         raise WidthMismatchError("bit value p must be 0 or 1")

@@ -172,12 +172,6 @@ class SymbolicSuperposition:
 
     # -- inspection --
 
-    def product_terms(self) -> list[tuple[ProductTerm, int]]:
-        """Terms and coefficients, sorted by the decimal string value."""
-        items = [(ProductTerm(self.width, m), c) for m, c in self.terms.items()]
-        items.sort(key=lambda tc: tc[0].value())
-        return items
-
     def __len__(self) -> int:
         return len(self.terms)
 
@@ -197,27 +191,17 @@ class SymbolicSuperposition:
         _require_width(self.width, other)
         return self._sum(self.width, chain(self.terms.items(), other.terms.items()))
 
-    def __sub__(self, other):
-        return self + -other if isinstance(other, SymbolicSuperposition) else NotImplemented
-
-    def __neg__(self):
-        return self * -1
-
     def __mul__(self, other):
-        """Scalar multiple, product-term multiple, or general product.
+        """Product-term multiple, or general product.
 
-        Each distributes over both sums (masks XOR, coefficients multiply),
-        an integer k being k times the vacuum. The general product is well
-        defined signal-wise, but only products with a term carry gate
-        semantics; see :meth:`gate`.
+        Each distributes over both sums (masks XOR, coefficients multiply).
+        The general product is well defined signal-wise, but only products
+        with a term carry gate semantics; see :meth:`gate`.
         """
-        if isinstance(other, int):
-            factor = {0: other}
-        elif isinstance(other, (ProductTerm, SymbolicSuperposition)):
-            _require_width(self.width, other)
-            factor = other.terms if isinstance(other, SymbolicSuperposition) else {other.mask: 1}
-        else:
+        if not isinstance(other, (ProductTerm, SymbolicSuperposition)):
             return NotImplemented
+        _require_width(self.width, other)
+        factor = other.terms if isinstance(other, SymbolicSuperposition) else {other.mask: 1}
         pairs = ((m ^ n, c * k) for n, k in factor.items() for m, c in self.terms.items())
         return self._sum(self.width, pairs)
 
@@ -249,11 +233,11 @@ class SymbolicSuperposition:
     # -- text format --
 
     def format(self) -> str:
-        """Render as ``c1*[bits] + c2*[bits] + ...`` (empty sum is ``0``)."""
-        items = self.product_terms()
-        if not items:
-            return "0"
-        return " + ".join(f"{c}*[{term.text()}]" for term, c in items)
+        """Render as ``c1*[bits] + c2*[bits] + ...`` in ascending MSB-first
+        value (the empty sum is ``0``)."""
+        # fixed-width bit strings sort as their values do
+        items = sorted((ProductTerm(self.width, m).text(), c) for m, c in self.terms.items())
+        return " + ".join(f"{c}*[{bits}]" for bits, c in items) or "0"
 
     def __repr__(self) -> str:
         return f"<SymbolicSuperposition M={self.width} {self.format()}>"

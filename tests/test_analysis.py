@@ -76,6 +76,19 @@ class TestDecodeProduct:
         assert len(info.value.candidates) >= 2
         assert BitString(3, 0) in info.value.candidates
 
+    def test_candidate_space_holds_only_bit_strings_of_its_width(self):
+        sys = generate_reference_system(3, 1, seed=2)
+        with pytest.raises(AmbiguousDecodeError) as info:
+            decode_product(sys, sys.low)
+        candidates = info.value.candidates
+        assert BitString(3, 0) in candidates
+        assert "000" not in candidates and "0110" not in candidates
+        wide = BitString(4, 0)
+        assert wide not in candidates
+        assert candidates.count(wide) == 0
+        with pytest.raises(ValueError, match="is not in the candidate space"):
+            candidates.index(wide)
+
     def test_scale_cap(self):
         # elimination is exact up to the engine's 62 noise-bits: M=21
         # decodes, and so does M=62 after every kind of gate

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from noiselogic import (
     ProductTerm,
     SymbolicSuperposition,
+    Trace,
     generate_reference_system,
     read_trace,
     realize,
@@ -311,6 +312,41 @@ class TestGate:
         failed = engine.startswith("engine: decode failed (")
         assert engine == f"engine: {oracle.format()}" or failed
 
+    def test_superposition_product_prints_a_note(self, tmp_path, capsys):
+        code, out, _ = run(
+            capsys, "gate", "xor", "--a", "1100+0011", "--b", "1010+0101", "--out", tmp_path
+        )
+        assert code == 0
+        assert (
+            "note: superposition-by-superposition product; outside tabulated gate semantics"
+            in out.splitlines()
+        )
+
+    # the judge: exit 3 when the numeric output, or its decode, is not the prediction
+
+    def test_numeric_disagreement_exits_3(self, tmp_path, capsys, monkeypatch):
+        def flipped(a, b):
+            return Trace(-a.samples * b.samples)
+
+        monkeypatch.setattr("noiselogic.cli.xor_pair", flipped)
+        code, _, err = run(capsys, "gate", "xor", "--a", "1100", "--b", "1010", "--out", tmp_path)
+        assert code == 3
+        assert err == (
+            "oracle mismatch: numeric gate output disagrees with the symbolic prediction\n"
+        )
+
+    def test_decode_disagreement_exits_3(self, tmp_path, capsys, monkeypatch):
+        def misread(sys, trace):
+            return SymbolicSuperposition.of(ProductTerm.zeros(sys.m))
+
+        monkeypatch.setattr("noiselogic.cli.decode_superposition", misread)
+        code, out, err = run(
+            capsys, "gate", "xor", "--a", "1100", "--b", "1010", "--out", tmp_path
+        )
+        assert code == 3
+        assert "engine: 1*[0000]" in out.splitlines()
+        assert err == "oracle mismatch: decoded output disagrees with the symbolic prediction\n"
+
 
 class TestCompare:
     def test_identical(self, tmp_path, capsys):
@@ -502,6 +538,23 @@ ERROR_PATH_TABLE = {
         2,
         "error: the literals' bit width must be in 1..62, got 70",
     ),
+    # at T = 2^60 - 1, which no machine can hold, every operand and index is
+    # still named: gate checks them all before it generates a reference
+    "b-malformed-t-2^60-1": (
+        "gate xor --a 1100 --b 0b12 --t 1152921504606846975", 2, "cannot parse bit string '0b12'"
+    ),
+    "targets-not-integer-t-2^60-1": (
+        "gate not --input 1100 --targets x --t 1152921504606846975", 2, "comma-separated integers"
+    ),
+    "targets-above-m-t-2^60-1": (
+        "gate not --input 1100 --targets 9 --t 1152921504606846975", 2, "[9] outside 1..4"
+    ),
+    "targets-empty-t-2^60-1": (
+        "gate not --input 1100 --targets , --t 1152921504606846975", 2, "must not be empty"
+    ),
+    "target-above-m-t-2^60-1": (
+        "gate xor --a 1100 --target 9 --value 1 --t 1152921504606846975", 2, "[9] outside 1..4"
+    ),
 }
 
 
@@ -509,6 +562,10 @@ ERROR_PATH_TABLE = {
     "line,code,message", list(ERROR_PATH_TABLE.values()), ids=list(ERROR_PATH_TABLE)
 )
 def test_error_paths(tmp_path, capsys, line, code, message):
+    _check_error_path(tmp_path, capsys, line, code, message)
+
+
+def _check_error_path(tmp_path, capsys, line, code, message):
     write_trace(generate_reference_system(4, 128, seed=1).high(1), tmp_path / "long.csv")
     write_trace(generate_reference_system(4, 64, seed=1).high(1), tmp_path / "short.csv")
     (tmp_path / "deep.json").write_text('{"samples": ' + "[" * 100000)
@@ -523,6 +580,28 @@ def test_error_paths(tmp_path, capsys, line, code, message):
         assert err.startswith("error:")
         assert "usage:" not in out + err
         assert not (tmp_path / "out").exists()
+
+
+REFUSED_BEFORE_REFERENCES = {
+    name: row
+    for name, row in ERROR_PATH_TABLE.items()
+    if row[1] == 2 and row[0].split()[:1] in (["gate"], ["synth"])
+}
+
+
+@pytest.mark.parametrize(
+    "line,code,message",
+    list(REFUSED_BEFORE_REFERENCES.values()),
+    ids=list(REFUSED_BEFORE_REFERENCES),
+)
+def test_gate_and_synth_refuse_before_generating_references(
+    tmp_path, capsys, monkeypatch, line, code, message
+):
+    def generate(m, t, seed):
+        raise AssertionError("a reference system was generated")
+
+    monkeypatch.setattr("noiselogic.cli.generate_reference_system", generate)
+    _check_error_path(tmp_path, capsys, line, code, message)
 
 
 @pytest.mark.parametrize("argv", [["-h"], ["gate", "-h"]])

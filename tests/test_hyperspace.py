@@ -279,7 +279,15 @@ class TestRealize:
         q = SymbolicSuperposition.of(
             ProductTerm.from_indices(4, [2]), ProductTerm.zeros(4)
         )
-        lhs = realize(sys4, 3 * p + (-2) * q)
+        three_p_minus_two_q = SymbolicSuperposition.from_terms(
+            4,
+            [
+                (ProductTerm.from_indices(4, [1, 4]), 3),
+                (ProductTerm.from_indices(4, [2]), -2),
+                (ProductTerm.zeros(4), -2),
+            ],
+        )
+        lhs = realize(sys4, three_p_minus_two_q)
         rhs = Trace(3 * realize(sys4, p).samples - 2 * realize(sys4, q).samples)
         assert lhs == rhs
 
