@@ -64,7 +64,7 @@ from .reference import (
     write_trace,
 )
 
-__version__ = "0.9.0"
+__version__ = "0.9.1"
 
 __all__ = [
     "AgreementReport",

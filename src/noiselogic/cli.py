@@ -9,8 +9,9 @@ plot emission is data-only (CSV/JSON consumable by any plotting tool).
 Exit codes: 0 success, 2 usage error or amplitude overflow, 3 decode/oracle
 mismatch (including ``compare`` divergence), 4 I/O or parse failure.
 Running out of memory (a huge ``--t``) is exit 2, with one ``error:`` line.
-``gate`` parses every operand and checks every noise-bit index before it
-generates any reference, so a malformed one is named at any ``--t``.
+``gate`` parses every operand, checks its int64 headroom and checks every
+noise-bit index before it generates any reference, so a malformed or
+overflowing one is named at any ``--t``.
 ``gate`` exits 0 when its self-decode is refused (``engine: decode
 failed``): its engine/oracle judge is the ``realize(predicted) == out``
 check, which exits 3, as does a decode that disagrees with the
@@ -50,6 +51,7 @@ from .oracle import ProductTerm, SymbolicSuperposition
 from .reference import (
     MAX_NOISE_BITS,
     _FORMATS,
+    check_headroom,
     generate_reference_system,
     read_trace,
     write_trace,
@@ -165,7 +167,9 @@ def _infer_width(operands: list[list[tuple[int, str]]], m: int | None) -> int:
 
 def _operand_superposition(entries: list[tuple[int, str]], width: int) -> SymbolicSuperposition:
     terms = [(_parse_literal(literal, width), coeff) for coeff, literal in entries]
-    return SymbolicSuperposition.from_terms(width, terms)
+    sup = SymbolicSuperposition.from_terms(width, terms)
+    check_headroom(sum(map(abs, sup.terms.values())))  # realize's bound, which needs no reference
+    return sup
 
 
 def _parse_targets(text: str) -> list[int]:
@@ -287,7 +291,7 @@ def cmd_gate(args) -> int:
     b_entries = None if args.b is None else _parse_operand(args.b)
     operands = [a_entries] if b_entries is None else [a_entries, b_entries]
     width = _infer_width(operands, args.m)
-    # every operand and noise-bit index is checked before any reference is generated
+    # every operand, its headroom and every noise-bit index are checked before any reference
     state = _operand_superposition(a_entries, width)
     b = None if b_entries is None else _operand_superposition(b_entries, width)
     targets = _parse_targets(args.targets) if args.kind == "not" else [args.target]

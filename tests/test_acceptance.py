@@ -412,13 +412,21 @@ def test_cli_files_name_their_encoding(tmp_path):
     # a text file opened in the locale's encoding warns under these flags,
     # and the warning is an error: every file the CLI writes or reads is UTF-8
     flags = ["-X", "warn_default_encoding", "-W", "error::EncodingWarning"]
-    out = tmp_path / "out"
+    out, out62 = tmp_path / "out", tmp_path / "out62"
     for args in (
         ["refs", "--m", "4", "--seed", "7", "--out", out],
         ["synth", "1000", "--format", "json", "--seed", "7", "--out", out],
         ["universe", "--m", "4", "--seed", "7", "--out", out],
         ["gate", "xor", "--a", "1100", "--b", "1010", "--seed", "7", "--out", out],
         ["compare", out / "ref_high_01.csv", out / "synth_1000.json"],
+        ["gate", "xor", "--a", "1100", "--b", "1010", "--seed", "7", "--format", "json",
+         "--out", out],
+        ["compare", out / "gate_xor.json", out / "gate_xor.json"],
+        ["universe", "--m", "4", "--t", "64", "--format", "json", "--out", out],
+        ["compare", out / "universe.json", out / "universe.json"],
+        # the widest reference bit, generated over three 2^15-clock blocks
+        ["refs", "--m", "62", "--t", "70000", "--seed", "5", "--out", out62],
+        ["compare", out62 / "ref_high_62.csv", out62 / "ref_high_62.csv"],
     ):
         proc = _run_cli([str(a) for a in args], cwd=tmp_path, flags=flags)
         assert proc.returncode == 0, proc.stderr.decode()

@@ -168,6 +168,10 @@ class TestDecodeProduct:
         assert found.count(flipped) == 0
         with pytest.raises(ValueError):
             found.index(flipped)
+        # a pickle keeps the whole space, with the decoded string in it
+        restored = pickle.loads(pickle.dumps(info.value)).candidates
+        assert len(restored) == len(found) and restored == found
+        assert BitString(62, (1 << 62) - 1) in restored
 
     @pytest.mark.parametrize("t", [1, 2, 3, 5, 8, 12, 16, 32, 128])
     @pytest.mark.parametrize("m", range(1, 13))

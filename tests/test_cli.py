@@ -555,6 +555,29 @@ ERROR_PATH_TABLE = {
     "target-above-m-t-2^60-1": (
         "gate xor --a 1100 --target 9 --value 1 --t 1152921504606846975", 2, "[9] outside 1..4"
     ),
+    "amplitude-wraps-t-2^60-1": (
+        "gate xor --a 4611686018427387904*1100+4611686018427387904*1010 --b 1000 "
+        "--t 1152921504606846975",
+        2,
+        "error: |amplitude| can reach 9223372036854775808 >= 2^63, past the int64 range\n",
+    ),
+    # a superposition by a superposition, and a multiple of a targeted XNOR:
+    # each decodes, and its engine: line equals its oracle: line
+    "xnor-superpositions-decode": (
+        "gate xnor --a 2*1100+-1*0011 --b 1010+0110",
+        0,
+        "engine: 2*[0101] + -1*[0110] + 2*[1001] + -1*[1010]\n"
+        "oracle: 2*[0101] + -1*[0110] + 2*[1001] + -1*[1010]\n",
+    ),
+    "targeted-xnor-multiple-decodes": (
+        "gate xnor --a 3*1100 --target 2 --value 0", 0, "engine: 3*[1000]\noracle: 3*[1000]\n"
+    ),
+    # past the decode cap, exit 0 with the library's refusal as the engine: line
+    "xor-decode-skipped-m-13": (
+        "gate xor --a 1000000000000 --b 0100000000000",
+        0,
+        "\nengine: decode skipped (M=13 exceeds decode cap 12)\noracle: 1*[1100000000000]\n",
+    ),
 }
 
 

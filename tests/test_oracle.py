@@ -114,6 +114,7 @@ class TestSuperposition:
         a = SymbolicSuperposition.of(term(4, 1), term(4, 1), term(4, 2))
         b = SymbolicSuperposition(4, {term(4, 1).mask: 2, term(4, 2).mask: 1})
         assert a == b
+        assert (a == 3) is False
 
     def test_vacuum_differs_from_zero_signal(self):
         vac = SymbolicSuperposition.of(ProductTerm.zeros(4))
@@ -198,9 +199,11 @@ class TestSuperposition:
         (lambda a: -a, TypeError),
         (lambda a: 2 * a, TypeError),
         (lambda a: a * 2, TypeError),
+        (lambda a: a + 3, TypeError),
+        (lambda a: ProductTerm(4, 1) * 3, TypeError),
         (lambda a: a.product_terms(), AttributeError),
     ],
-    ids=["a - b", "-a", "2 * a", "a * 2", "product_terms"],
+    ids=["a - b", "-a", "2 * a", "a * 2", "a + 3", "term * 3", "product_terms"],
 )
 def test_superpositions_have_one_sum_and_one_product(call, error):
     # a difference is a + SymbolicSuperposition(w, {m: -c ...}), a multiple
@@ -238,6 +241,8 @@ class TestTextFormat:
     def test_format_example(self):
         s = SymbolicSuperposition.of(term(4, 2, 3), term(4, 2))
         assert s.format() == "1*[0100] + 1*[0110]"
+        s = SymbolicSuperposition(4, {0: -1, term(4, 1, 2).mask: 2})
+        assert repr(s) == "<SymbolicSuperposition M=4 -1*[0000] + 2*[1100]>"
 
     @pytest.mark.parametrize("text", ["", "01x0"])
     def test_from_text_refuses_a_non_bit_string(self, text):

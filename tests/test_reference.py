@@ -188,15 +188,16 @@ def test_reference_system_checks_t_then_m_then_seed():
 
 def test_reference_system_copies_are_rebuilt_from_m_t_seed():
     # every copy is a fresh generation, read-only, and a pickle holds
-    # three integers, not 2^17 words
-    sys = generate_reference_system(62, 2**17, seed=23)
-    data = pickle.dumps(sys)
-    assert len(data) < 200
-    for again in (copy.copy(sys), copy.deepcopy(sys), pickle.loads(data)):
-        assert again == sys and hash(again) == hash(sys)
-        assert not again.negative_masks.flags.writeable
-        assert np.array_equal(again.negative_masks, sys.negative_masks)
-        assert again.high(62) == sys.high(62)
+    # three integers, not T words; 70000 clocks end in a partial block
+    for t, seed in ((2**17, 23), (70000, 5)):
+        sys = generate_reference_system(62, t, seed)
+        data = pickle.dumps(sys)
+        assert len(data) < 200
+        for again in (copy.copy(sys), copy.deepcopy(sys), pickle.loads(data)):
+            assert again == sys and hash(again) == hash(sys)
+            assert not again.negative_masks.flags.writeable
+            assert np.array_equal(again.negative_masks, sys.negative_masks)
+            assert again.high(62) == sys.high(62)
 
 
 def test_generation_minimal():
@@ -563,7 +564,7 @@ def test_traces_have_one_product_and_no_other_operators(call):
         call(a)
 
 
-def test_trace_labels_are_strings_or_none():
+def test_trace_labels_are_strings_or_none(tmp_path):
     # a label the JSON form could not write, or could not read back, is refused
     # when the trace is built or relabelled, never when it is written
     for label in (5, 3.5, float("nan"), b"x", ["a"]):
@@ -575,6 +576,11 @@ def test_trace_labels_are_strings_or_none():
     for label in ("", "ü", 'a"b\\n', None):
         again = trace_from_json(trace_to_json(Trace([1, -1], label=label)))
         assert again == Trace([1, -1]) and again.label == label
+        again = read_trace(write_trace(Trace([1, -1], label=label), tmp_path / "l.json"))
+        assert again == Trace([1, -1]) and again.label == label
+    # repr shows a label that is set, and at most eight samples
+    assert repr(Trace(np.arange(10), label="x")) == "<Trace 'x' T=10 [0,1,2,3,4,5,6,7,...]>"
+    assert repr(Trace([1, -1])) == "<Trace T=2 [1,-1]>"
 
 
 # -- serialization ------------------------------------------------------------
@@ -770,6 +776,12 @@ def test_json_parse_failures(text):
 def test_json_nesting_past_the_recursion_limit_is_a_parse_failure():
     with pytest.raises(TraceParseError, match="nested too deeply"):
         trace_from_json('{"samples": ' + "[" * 100000)
+
+
+def test_json_declared_t_is_named_as_json_reads_it():
+    # an integer array reads as numpy's, and is named as json's list
+    with pytest.raises(TraceParseError, match=r"^declared T=\[1, 2\] but 2 samples present$"):
+        trace_from_json('{"T": [1, 2], "samples": [1, -1]}')
 
 
 def test_read_trace_names_a_given_format(tmp_path):
